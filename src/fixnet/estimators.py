@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+# Not used here: kept because perfbench/tracer.py wraps this module attribute.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -242,61 +243,23 @@ def _pp_trial_design(xc, d, config, trial):
                                                  warn_out_of_domain=False)
 
 
-def _ordered_map(fn, count, workers):
-    """Yield fn(i) for i in range(count), in order, with bounded prefetch."""
-    if workers <= 1 or count <= 1:
-        for i in range(count):
-            yield fn(i)
-        return
-    window = 2 * workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = [pool.submit(fn, i) for i in range(min(window, count))]
-        next_submit = len(pending)
-        for _ in range(count):
-            fut = pending.pop(0)
-            if next_submit < count:
-                pending.append(pool.submit(fn, next_submit))
-                next_submit += 1
-            yield fut.result()
-
-
-class _TrialTask:
-    """Picklable callable building one trial's directions and design."""
-
-    def __init__(self, xc, d, config):
-        self.xc = xc
-        self.d = d
-        self.config = config
-
-    def __call__(self, trial):
-        try:
-            return _pp_trial_design(self.xc, self.d, self.config, trial)
-        except SolverError as exc:
-            return exc
-
-
-def fit_pp(data, config, workers=1):
+def fit_pp(data, config):
     """Fit the projection estimator over repeated random direction draws.
 
     Trial t derives its own random stream as child t of the config seed,
-    so results do not depend on scheduling.  Design matrices may be built
-    by worker processes, but every linear solve and the trial comparison
-    run in the parent process in trial order, which keeps the fit
-    bit-for-bit reproducible for any worker count.  Trials whose solve
-    fails are recorded as infinite in the selection trace and skipped.
+    so each trial's directions depend only on t.  Trials are built,
+    solved and compared in one process in trial order, which keeps the
+    fit bit-for-bit reproducible.  Trials whose solve fails are recorded
+    as infinite in the selection trace and skipped.
     """
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data[0]), np.asarray(data[1]))
     xc = _clamped_inputs(data, config.A, "fit_pp")
-    task = _TrialTask(xc, data.d, config)
 
     trace = []
     best = None
-    for trial, produced in enumerate(_ordered_map(task, config.trials, workers)):
-        if isinstance(produced, SolverError):
-            trace.append(math.inf)
-            continue
-        directions, design = produced
+    for trial in range(config.trials):
+        directions, design = _pp_trial_design(xc, data.d, config, trial)
         try:
             solution = ridge.ridge_solve(design, data.y, config.penalty)
         except SolverError:

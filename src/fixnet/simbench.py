@@ -234,7 +234,6 @@ class BenchConfig:
     trial_overrides: tuple = ((("m1", 0.05), 50),)
     ref_realizations: int = 50
     seed: int = 0
-    workers: int = 1
     direction_count: int = 4
     degree_cap: int = 2
     domain_half: float = 1.0
@@ -245,10 +244,10 @@ class BenchConfig:
     smooth_feature_cap: int = 4000
 
     @classmethod
-    def quick(cls, seed=0, workers=1, **overrides):
+    def quick(cls, seed=0, **overrides):
         """Reduced protocol: two targets, one noise level, 10 reps, 50 trials."""
         base = dict(targets=("m2", "m4"), noises=(0.05,), reps=10,
-                    trials=50, trial_overrides=(), seed=seed, workers=workers)
+                    trials=50, trial_overrides=(), seed=seed)
         base.update(overrides)
         return cls(**base)
 
@@ -267,11 +266,7 @@ class BenchConfig:
         return self.trials
 
     def to_dict(self):
-        # The worker count is an execution detail with no effect on any
-        # reported number, so it stays out of the reproducibility echo;
-        # reports must be byte-identical across worker counts.
-        doc = {k: getattr(self, k) for k in self.__dataclass_fields__
-               if k != "workers"}
+        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
         doc["trial_overrides"] = [
             {"target": t, "noise": nz, "trials": tr}
             for (t, nz), tr in self.trial_overrides
@@ -313,7 +308,7 @@ def _fit_proj_neural(data, stream, config, trials):
             trials=trials,
             seed=stream.child_label(f"proj-M{m_value}").seed,
         )
-        return fit_pp(learn, conf, workers=config.workers)
+        return fit_pp(learn, conf)
 
     sel = baselines.select_by_split(data, fit_candidate, config.proj_m_grid,
                                     stream.child_label("select").seed)
@@ -511,7 +506,6 @@ class RateConfig:
     penalty: float = 1.0
     eval_n: int = 2000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         sizes = self.sample_sizes
@@ -523,9 +517,7 @@ class RateConfig:
             raise ParameterError("need at least one seed")
 
     def to_dict(self):
-        # Worker count excluded for the same reason as in BenchConfig.
-        return {k: getattr(self, k) for k in self.__dataclass_fields__
-                if k != "workers"}
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -592,7 +584,7 @@ def rate_experiment(config):
                     trials=config.trials,
                     seed=stream.child_label(f"fit-M{m_value}").seed,
                 )
-                return fit_pp(learn, conf, workers=config.workers)
+                return fit_pp(learn, conf)
 
             sel = baselines.select_by_split(
                 Dataset(x, y), fit_candidate, config.m_grid,

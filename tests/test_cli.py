@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fixnet import ridge
 from fixnet.cli import block_check_rows, decay_check_rows, main, run_approx_check
 from fixnet.rng import Stream
 
@@ -66,6 +71,48 @@ def test_fit_then_predict_round_trip(tmp_path, capsys):
     assert body[1] == body[2]
     # Fitted on a near-linear target, the model must track it roughly.
     assert values[0] == pytest.approx(0.1 - 0.1, abs=0.35)
+
+
+@pytest.mark.parametrize("flags, written", [
+    (["--model", "m.json"], "m.json"),
+    (["--output", "o.json", "--model", "o.json"], "o.json"),
+    ([], "model.json"),
+])
+def test_fit_writes_the_model_where_asked(tmp_path, monkeypatch, capsys,
+                                          flags, written):
+    _write_training_csv(tmp_path / "train.csv")
+    config = _write_config(tmp_path / "fit.json", FAST_FIT)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--config", config, "--input", "train.csv",
+                 *flags]) == 0
+    assert f"model written to {written}" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.glob("*.json")
+            if p.name != "fit.json"] == [written]
+
+
+def test_fit_rejects_conflicting_model_paths(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    out, model = tmp_path / "o.json", tmp_path / "m.json"
+    code = main(["fit", "--input", str(train), "--output", str(out),
+                 "--model", str(model)])
+    assert code == 2
+    assert "two different model paths" in capsys.readouterr().err
+    assert not out.exists() and not model.exists()
+
+
+def test_fit_exits_2_when_the_coefficient_audit_fails(tmp_path, monkeypatch,
+                                                      capsys):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    model = tmp_path / "model.json"
+    config = _write_config(tmp_path / "fit.json", FAST_FIT)
+    monkeypatch.setattr(ridge, "coefficient_bound_audit", lambda s, y: False)
+    code = main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)])
+    assert code == 2
+    assert "coefficient bound audit failed" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_predict_empty_input(tmp_path, capsys):
@@ -217,3 +264,18 @@ def test_run_approx_check_full_includes_decay():
     rows, ok = run_approx_check(full=True, scales=(1e3,))
     assert ok
     assert len(rows) == 7
+
+
+def test_perfbench_tracer_wraps_existing_names(tmp_path):
+    # The benchmark's tracer patches fixnet attributes by name and fails
+    # before running anything when one of them has been removed.
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "tracer.py"),
+         str(tmp_path), "--", "approx-check", "--quick"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("spans-*.npz"))

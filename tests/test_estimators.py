@@ -2,6 +2,7 @@
 selection bookkeeping, and serialization."""
 
 import contextlib
+import dataclasses
 import json
 import math
 import warnings
@@ -134,14 +135,15 @@ def test_fit_pp_risk_selection_scores_without_penalty():
         assert r_score <= p_score + 1e-15
 
 
-def test_fit_pp_is_reproducible_across_worker_counts():
+def test_fit_pp_trial_streams_depend_only_on_the_trial_index():
     data = _toy_data(50, seed=6)
     with _quiet():
-        serial = fit_pp(data, PP_SMALL, workers=1)
-        parallel = fit_pp(data, PP_SMALL, workers=2)
-    assert np.array_equal(serial.coefficients, parallel.coefficients)
-    assert serial.selection_trace == parallel.selection_trace
-    assert serial.directions == parallel.directions
+        short = fit_pp(data, dataclasses.replace(PP_SMALL, trials=2))
+        longer = fit_pp(data, dataclasses.replace(PP_SMALL, trials=4))
+        again = fit_pp(data, dataclasses.replace(PP_SMALL, trials=4))
+    assert short.selection_trace == longer.selection_trace[:2]
+    assert np.array_equal(again.coefficients, longer.coefficients)
+    assert again.directions == longer.directions
 
 
 def test_fit_pp_raises_when_every_trial_fails(monkeypatch):

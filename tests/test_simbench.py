@@ -177,13 +177,13 @@ def test_scaled_errors_validates_inputs():
 
 
 def test_bench_config_quick_and_overrides():
-    quick = BenchConfig.quick(seed=3, workers=2)
+    quick = BenchConfig.quick(seed=3)
     assert quick.targets == ("m2", "m4")
     assert quick.noises == (0.05,)
     assert quick.reps == 10
     assert quick.trials == 50
     assert quick.trial_overrides == ()
-    assert quick.seed == 3 and quick.workers == 2
+    assert quick.seed == 3
 
     full = BenchConfig()
     assert full.trials == 400
