@@ -320,10 +320,12 @@ def predict(estimator, x):
     step = max(1, _PREDICT_ENTRY_BUDGET // max(estimator.width, 1))
     parts = []
     for i in range(0, batch.shape[0], step):
-        design = ridge.build_design_matrix(estimator.features,
-                                           batch[i : i + step],
-                                           warn_out_of_domain=False)
-        parts.append(design.values @ estimator.coefficients)
+        # No name holds the design, so each chunk's matrix is freed before
+        # the next one is built.
+        parts.append(ridge.build_design_matrix(estimator.features,
+                                               batch[i : i + step],
+                                               warn_out_of_domain=False).values
+                     @ estimator.coefficients)
     raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
     out = np.clip(raw, -estimator.beta, estimator.beta)
     return float(out[0]) if single else out

@@ -116,7 +116,8 @@ def _sigma_second_diff(base, delta):
     z = np.exp(-base)
     m = np.expm1(-np.asarray(delta, dtype=float))
     E = 1.0 + m
-    return -z * m * m * (1.0 - z * E) / ((1.0 + z) * (1.0 + z * E) * (1.0 + z * E * E))
+    zE = z * E
+    return -z * m * m * (1.0 - zE) / ((1.0 + z) * (1.0 + zE) * (1.0 + zE * E))
 
 
 def _maybe_scalar(x):

@@ -52,20 +52,17 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def _group_key(f):
-    # Everything except the multi-index: features sharing a key also share
-    # every leaf array other than their monomial multiplicities.
-    return (f.kind, f.d, f.anchor, f.direction, f.M, f.half_width, f.R)
-
-
 def build_design_matrix(feature_list, x, warn_out_of_domain=True):
     """Evaluate every feature on a batch of inputs.
 
-    Features are grouped by shared anchor/direction so that the hat and
-    monomial leaf arrays are computed once per group and the product tree
-    is folded on (n, group) matrices.  The fold applies the same
-    elementwise recurrences as single-feature evaluation, so columns agree
-    with eval_feature to the last unit of precision.
+    After the checks below, the matrix comes from features.eval_features,
+    which compiles one plan per call: features are grouped by anchor and
+    direction, tree nodes are de-duplicated by their child pair, shared
+    nodes (constant and raw-monomial leaves only) are folded once for all
+    groups, and per-group nodes are folded level by level for blocks of
+    rows and groups of at most features._BLOCK_ENTRY_BUDGET entries, so
+    memory beyond the (n, J) result stays bounded.  Column j equals
+    eval_feature(x, feature_list[j]) bit for bit.
     """
     feature_list = tuple(feature_list)
     if not feature_list:
@@ -91,34 +88,8 @@ def build_design_matrix(feature_list, x, warn_out_of_domain=True):
             )
 
     feat._warn_if_low_R(feature_list[0])
-
-    n = xb.shape[0]
-    out = np.empty((n, len(feature_list)))
-    leaf_cache = {}
-
-    groups = {}
-    for col, f in enumerate(feature_list):
-        groups.setdefault(_group_key(f), []).append(col)
-
-    for cols in groups.values():
-        group = [feature_list[c] for c in cols]
-        spec_rows = [feat.leaf_specs(f) for f in group]
-        width = len(spec_rows[0])
-        level = []
-        for pos in range(width):
-            stack = np.empty((n, len(group)))
-            for c, specs in enumerate(spec_rows):
-                spec = specs[pos]
-                arr = leaf_cache.get(spec)
-                if arr is None:
-                    arr = feat.eval_leaf(spec, xb, group[c])
-                    leaf_cache[spec] = arr
-                stack[:, c] = arr
-            level.append(stack)
-        folded = feat.fold_product_tree(level, group[0].R)
-        out[:, cols] = folded
-
-    return DesignMatrix(values=out, feature_order=feature_list)
+    return DesignMatrix(values=feat.eval_features(feature_list, xb),
+                        feature_order=feature_list)
 
 
 def _pairwise_reduce(parts):

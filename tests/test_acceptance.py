@@ -8,6 +8,7 @@ here, not computed.
 
 import contextlib
 import csv
+import hashlib
 import io
 import time
 import warnings
@@ -279,3 +280,22 @@ def test_9_reports_are_byte_identical(quick_bench_runs):
                  f"workers 1 vs {c['workers']} identical: {across_workers}")
     assert same_seed
     assert across_workers
+
+
+# ---------------------------------------------------------------------------
+# Behaviour fingerprint of the quick benchmark (no verdict line)
+# ---------------------------------------------------------------------------
+
+# sha256 of the reports of `fixnet bench --quick --seed 0`.  Any numeric
+# drift in the estimators, baselines or report formatting changes these,
+# so a change that moves them must say why and re-pin them.
+QUICK_REPORT_SHA256 = {
+    "csv": "4988b6aa979d82c7132393d184b22d5f013134a74c6d8a6667e9f7138fb1884d",
+    "md": "616a7818ed5e81f5c6e7e04b010182827915dc8192d56700059d0b830bdc71ed",
+}
+
+
+def test_quick_benchmark_report_fingerprint(quick_bench_runs):
+    first = quick_bench_runs[0]
+    for kind, digest in QUICK_REPORT_SHA256.items():
+        assert hashlib.sha256(first[kind]).hexdigest() == digest, kind

@@ -4,15 +4,19 @@ approximant, and the architecture audit."""
 import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixnet import netblocks
+from fixnet import features, netblocks
 from fixnet.netblocks import BlockParams, exact_hat, f_hat, f_id, f_mult
 from fixnet.errors import FeatureCountError, ParameterError
 from fixnet.features import (
     MAX_FEATURES,
+    _compile_tree,
     architecture_summary,
     count_features_cube,
     count_features_pp,
@@ -27,6 +31,7 @@ from fixnet.features import (
     partition_of_unity_check,
     taylor_patch_P,
 )
+from fixnet.ridge import build_design_matrix
 from fixnet.rng import Stream
 
 DIRECTIONS = np.array([[0.8, 0.6], [-0.35, 0.9]])
@@ -303,3 +308,96 @@ def test_low_scale_warning_fires():
     feats = enumerate_features_cube(2, 2, 2, 1.0, 1e5)
     with pytest.warns(RuntimeWarning, match="below the guaranteed-approximation"):
         eval_f_net(np.array([[0.0, 0.0]]), feats[0])
+
+
+# ---------------------------------------------------------------------------
+# the compiled plan of build_design_matrix against the single-feature oracle
+# ---------------------------------------------------------------------------
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_projection_plan_shares_the_monomial_nodes():
+    # d=6, N=2: 28 multi-indices over a 4-leaf tree.  Node de-duplication
+    # leaves 7 + 28 per-group product blocks per group (84 without it) and
+    # 22 shared (one, one) and (monomial, monomial) blocks for the call.
+    plan = _compile_tree("line", multi_indices(6, 2), 2)
+    assert plan.widths == (1, 7, 28)
+    assert [left.size for left, _ in plan.shared_folds] == [22, 0]
+    assert sorted(plan.roots.values()) == list(range(28))
+    cube = _compile_tree("cube", multi_indices(2, 2), 2)
+    assert cube.shared_leaves == (("one",),)
+
+
+@st.composite
+def _feature_lists(draw):
+    kind = draw(st.sampled_from(["cube", "line"]))
+    d = draw(st.integers(1, 3 if kind == "cube" else 4))
+    N = draw(st.integers(0, 3))
+    M = draw(st.integers(0, 3 if kind == "cube" else 5))
+    R = 10.0 ** draw(st.floats(1.0, 8.0))
+    if kind == "cube":
+        feats = enumerate_features_cube(d, N, M, 1.0, R)
+    else:
+        r = draw(st.integers(1, 3))
+        entries = st.floats(-1.0, 1.0, allow_nan=False)
+        directions = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                            min_size=r, max_size=r)))
+        feats = enumerate_features_pp(d, N, M, 1.0, R, directions)
+    order = draw(st.permutations(range(len(feats))))
+    start = draw(st.integers(0, len(feats) - 1))
+    step = draw(st.integers(1, 3))
+    return [feats[i] for i in order[start::step]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(feats=_feature_lists(), n=st.integers(1, 40), point=st.booleans(),
+       seed=st.integers(0, 2**16), budget=st.sampled_from([1, 5, 64, 2**14]))
+def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
+                                                            seed, budget):
+    # Small entry budgets split the plan into many row and group blocks.
+    d = feats[0].d
+    x = Stream(seed).uniform_matrix(n, d, low=-1.2, high=1.2)
+    if point:
+        x = x[0]
+    with _silence_low_r(), mock.patch.object(features, "_BLOCK_ENTRY_BUDGET", budget):
+        design = build_design_matrix(feats, x, warn_out_of_domain=False)
+        assert design.values.shape == (1 if point else n, len(feats))
+        for j, f in enumerate(feats):
+            want = eval_feature(x, f)
+            got = design.values[0, j] if point else design.values[:, j]
+            assert _bitwise_equal(got, want), (j, f)
+
+
+def test_design_matrix_handles_uneven_groups():
+    # A repeated direction merges two groups into one (that may hold a
+    # multi-index twice), and slicing leaves the other group with fewer
+    # multi-indices than the template tree has roots.
+    directions = np.array([[0.5, -0.5], [0.5, -0.5], [0.0, 1.0]])
+    x = Stream(7).uniform_matrix(5, 2, low=-1.0, high=1.0)
+    with _silence_low_r():
+        line = enumerate_features_pp(2, 1, 0, 1.0, 10.0, directions)
+        for picks in ([0, 5, 6], [0, 5, 3, 6]):
+            feats = [line[i] for i in picks]
+            for budget in (1, 2**14):
+                with mock.patch.object(features, "_BLOCK_ENTRY_BUDGET", budget):
+                    design = build_design_matrix(feats, x, warn_out_of_domain=False)
+                for j, f in enumerate(feats):
+                    assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), \
+                        (picks, budget, j)
+
+
+def test_design_matrix_mixes_feature_families():
+    # Features of different kinds, scales and degree caps in one list each
+    # get their own plan, and the columns keep the list order.  The two
+    # cube lists differ only in the degree cap, hence in the tree depth.
+    x = Stream(6).uniform_matrix(9, 2, low=-1.0, high=1.0)
+    with _silence_low_r():
+        feats = (enumerate_features_cube(2, 1, 2, 1.0, 1e5)[::4]
+                 + enumerate_features_pp(2, 2, 3, 1.0, 1e6, DIRECTIONS)[::5]
+                 + enumerate_features_cube(2, 3, 2, 1.0, 1e5)[::3])
+        design = build_design_matrix(feats, x, warn_out_of_domain=False)
+        for j, f in enumerate(feats):
+            assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j

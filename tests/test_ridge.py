@@ -1,12 +1,14 @@
 """Tests for design-matrix construction and the ridge output-layer solve."""
 
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from fixnet import ridge
+from fixnet.activation import admissibility_constants
 from fixnet.errors import ParameterError, SolverError
 from fixnet.features import (
     enumerate_features_cube,
@@ -40,6 +42,10 @@ def _dense_oracle(b, y, penalty):
     return np.linalg.inv(gram) @ (b.T @ y)
 
 
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_design_matrix_columns_match_single_feature_eval():
     x = Stream(1).uniform_matrix(30, 2, low=-1.0, high=1.0)
     with _quiet():
@@ -47,14 +53,30 @@ def test_design_matrix_columns_match_single_feature_eval():
         design = build_design_matrix(feats, x, warn_out_of_domain=False)
         assert design.n == 30 and design.width == len(feats)
         for j, f in enumerate(feats):
-            col = eval_feature(x, f)
-            assert np.max(np.abs(design.values[:, j] - col)) <= 1e-12
+            assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j
 
         line_feats = enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS)
         line_design = build_design_matrix(line_feats, x, warn_out_of_domain=False)
         for j, f in enumerate(line_feats):
-            col = eval_feature(x, f)
-            assert np.max(np.abs(line_design.values[:, j] - col)) <= 1e-12
+            assert _bitwise_equal(line_design.values[:, j], eval_feature(x, f)), j
+
+
+def test_design_matrix_memory_stays_near_its_output():
+    # The fold works on bounded blocks of groups, so one call allocates
+    # little beyond the (n, J) result however many groups there are.
+    x = Stream(3).uniform_matrix(100, 6, low=-1.0, high=1.0)
+    directions = Stream(4).uniform_matrix(4, 6, low=-1.0, high=1.0)
+    with _quiet():
+        feats = enumerate_features_pp(6, 2, 16, 1.0, 1e5, directions)
+        assert len(feats) == 1904
+        admissibility_constants()  # cached grid maximization, outside the window
+        tracemalloc.start()
+        try:
+            design = build_design_matrix(feats, x, warn_out_of_domain=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * design.values.nbytes + 2**20, peak
 
 
 def test_design_matrix_guards():
