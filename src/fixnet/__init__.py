@@ -18,7 +18,7 @@ from .estimators import (FittedEstimator, PPConfig, SmoothConfig,
                          empirical_l2_risk, fit_pp, fit_smooth,
                          load_estimator, predict, sample_directions,
                          save_estimator)
-from .features import (FeatureDescriptor, architecture_summary,
+from .features import (FeatureDescriptor, FeatureSet, architecture_summary,
                        approx_error_scale, count_features_cube,
                        count_features_pp, enumerate_features_cube,
                        enumerate_features_pp, eval_exact_target_cube,
@@ -45,7 +45,7 @@ __all__ = [
     "CsvFormatError", "Dataset", "load_x_csv", "load_xy_csv",
     "FixnetError", "ParameterError", "FeatureCountError", "SolverError",
     "EstimatorError",
-    "FeatureDescriptor", "multi_indices", "count_features_cube",
+    "FeatureDescriptor", "FeatureSet", "multi_indices", "count_features_cube",
     "count_features_pp", "enumerate_features_cube", "enumerate_features_pp",
     "eval_f_net", "eval_f_net_pp", "eval_feature", "eval_exact_target_cube",
     "eval_exact_target_pp", "approx_error_scale", "scale_lower_bound",

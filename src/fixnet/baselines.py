@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
 from .errors import ParameterError, SolverError
@@ -175,6 +174,7 @@ def rbf_interpolant(data, radius):
         raise ParameterError("radius must be positive")
     r = np.sqrt(_sq_dists(data.x, data.x)) / radius
     k = _wendland(r) + _RBF_JITTER * np.eye(data.n)
+    import scipy.linalg  # here, so importing the package does not load scipy
     try:
         weights = scipy.linalg.solve(k, data.y, assume_a="sym")
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:

@@ -87,11 +87,13 @@ def block_check_rows(scales=(1e3, 1e4, 1e5), a=1.0, M=4, step=2e-3):
     return rows
 
 
-def _network_max_error(feature_list, grid, exact_fn):
-    design = ridge.build_design_matrix(feature_list, grid,
+def _network_max_error(features, grid, exact_fn):
+    # features is a FeatureSet: the design matrix is built from its
+    # arrays, and the exact targets take its descriptors one by one.
+    design = ridge.build_design_matrix(features, grid,
                                        warn_out_of_domain=False)
     worst = 0.0
-    for j, f in enumerate(feature_list):
+    for j, f in enumerate(features):
         err = float(np.max(np.abs(design.values[:, j] - exact_fn(grid, f))))
         worst = max(worst, err)
     return worst

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 # Not used here: kept because perfbench/tracer.py wraps this module attribute.
 from concurrent.futures import ProcessPoolExecutor
@@ -169,7 +170,7 @@ class FittedEstimator:
     domain_half: float
     penalty: float
     beta: float
-    features: tuple
+    features: feat.FeatureSet
     coefficients: np.ndarray
     training_objective: float
     directions: Optional[tuple] = None
@@ -372,41 +373,72 @@ def to_json_dict(estimator):
     return doc
 
 
+def _document_int(doc, key, low):
+    value = operator.index(doc[key])
+    if value < low:
+        raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _document_positive(doc, key):
+    value = float(doc[key])
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{key} must be positive and finite, got {doc[key]!r}")
+    return value
+
+
 def from_json_dict(doc):
     """Rebuild a fitted estimator from its serialized form.
 
     Features are reconstructed by re-running the deterministic enumeration,
     so the document only stores the enumeration parameters and directions.
+    The document is checked before anything is built: d >= 1, N >= 0 and
+    M >= 0 are integers; R, domain_half, penalty and beta are positive
+    and finite; every coefficient is finite; and the coefficient count
+    equals the feature count.  A document that fails raises
+    ParameterError (FeatureCountError for an oversized feature grid).
     """
-    if doc.get("schema") != 1:
+    if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise ParameterError("unsupported estimator document schema")
     if doc.get("model") != "fixnet-estimator":
         raise ParameterError("not an estimator document")
-    kind = doc["kind"]
-    d = int(doc["d"])
-    n_deg = int(doc["N"])
-    m_grid = int(doc["M"])
-    r_scale = float(doc["R"])
-    half = float(doc["domain_half"])
-    coef = np.array([float(c) for c in doc["coefficients"]])
-    if kind == "smooth":
-        feats = feat.enumerate_features_cube(d, n_deg, m_grid, half, r_scale)
+    kind = doc.get("kind")
+    if kind not in ("smooth", "projection"):
+        raise ParameterError(f"unknown estimator kind {kind!r}")
+    try:
+        d = _document_int(doc, "d", 1)
+        n_deg = _document_int(doc, "N", 0)
+        m_grid = _document_int(doc, "M", 0)
+        r_scale, half, penalty, beta = (
+            _document_positive(doc, key)
+            for key in ("R", "domain_half", "penalty", "beta"))
+        coef = np.array([float(c) for c in doc["coefficients"]])
+        training_objective = float(doc["training_objective"])
         directions = None
-    elif kind == "projection":
-        if not doc.get("directions"):
-            raise ParameterError("projection estimator document lacks directions")
-        directions = np.array([[float(v) for v in row]
-                               for row in doc["directions"]])
+        if kind == "projection":
+            if not doc.get("directions"):
+                raise ParameterError(
+                    "projection estimator document lacks directions")
+            directions = np.array([[float(v) for v in row]
+                                   for row in doc["directions"]])
+        count = (feat._checked_count("cube", d, n_deg, m_grid)
+                 if directions is None else
+                 feat._checked_count("line", d, n_deg, m_grid, len(directions)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"malformed estimator document: {exc!r}") from exc
+    if not np.all(np.isfinite(coef)):
+        raise ParameterError("coefficients must be finite")
+    if len(coef) != count:
+        raise ParameterError(
+            f"coefficient count {len(coef)} does not match "
+            f"feature count {count}"
+        )
+    if directions is None:
+        feats = feat.enumerate_features_cube(d, n_deg, m_grid, half, r_scale)
+    else:
         feats = feat.enumerate_features_pp(d, n_deg, m_grid, half, r_scale,
                                            directions)
         directions = tuple(tuple(row) for row in directions)
-    else:
-        raise ParameterError(f"unknown estimator kind {kind!r}")
-    if len(coef) != len(feats):
-        raise ParameterError(
-            f"coefficient count {len(coef)} does not match "
-            f"feature count {len(feats)}"
-        )
     trace = doc.get("selection_trace")
     return FittedEstimator(
         kind=kind,
@@ -415,11 +447,11 @@ def from_json_dict(doc):
         M=m_grid,
         R=r_scale,
         domain_half=half,
-        penalty=float(doc["penalty"]),
-        beta=float(doc["beta"]),
+        penalty=penalty,
+        beta=beta,
         features=feats,
         coefficients=coef,
-        training_objective=float(doc["training_objective"]),
+        training_objective=training_objective,
         directions=directions,
         selection_trace=tuple(trace) if trace is not None else None,
         seed=doc.get("seed"),

@@ -13,13 +13,21 @@ directions: monomials in the raw coordinates times a single tent in the
 projected value b'x, with s = ceil(log2(N+1)).
 
 Evaluations are vectorized: x may be a single point (d,) or a batch (n, d).
-eval_feature evaluates one feature by folding its own leaves; it is the
-oracle for eval_features, which evaluates a whole design matrix through
-a plan compiled once per call:
 
-- features sharing an anchor and direction form a group, and groups with
-  one tree shape form a family with one template tree over the family's
-  multi-indices;
+The enumerations return a FeatureSet, which holds the features of one
+enumeration as arrays: the enumeration parameters, the anchor grid, the
+direction matrix and the multi-index table, the values a saved model
+stores.  Indexing or iterating a FeatureSet builds FeatureDescriptor
+objects, one per feature.  eval_feature evaluates one descriptor by
+folding its own leaves; it is the oracle for eval_features, which
+evaluates a whole design matrix through a plan:
+
+- the template tree of a (kind, d, N) is compiled once over every
+  multi-index and cached, since every set of one (kind, d, N) has it;
+- features sharing an anchor and direction form a group; the group of a
+  column, its leaf values and its root node follow from the set's arrays
+  by index arithmetic (a plain sequence of descriptors is first mapped
+  onto FeatureSet columns);
 - template nodes are de-duplicated by their child pair.  Shared nodes
   (only constant or raw-monomial leaves below) are evaluated once, not
   once per group; per-group nodes (a tent or an anchor-shifted monomial
@@ -33,10 +41,12 @@ the same operands in the same order, as in eval_feature, so the plan's
 columns equal eval_feature's bit for bit.
 """
 
+import functools
 import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,6 +57,7 @@ from .errors import FeatureCountError, ParameterError
 
 __all__ = [
     "FeatureDescriptor",
+    "FeatureSet",
     "multi_indices",
     "enumerate_features_cube",
     "enumerate_features_pp",
@@ -64,6 +75,13 @@ __all__ = [
 ]
 
 MAX_FEATURES = 10**7
+
+
+def _tree_depth(kind, d, degree_cap):
+    """s = ceil(log2(N + d)) for a cube feature, ceil(log2(N + 1)) for a
+    projection feature: the product tree has 2**s leaves."""
+    leaves = degree_cap + d if kind == "cube" else degree_cap + 1
+    return (leaves - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -91,22 +109,69 @@ class FeatureDescriptor:
 
     @property
     def s(self):
-        if self.kind == "cube":
-            return math.ceil(math.log2(self.degree_cap + self.d))
-        return math.ceil(math.log2(self.degree_cap + 1))
+        return _tree_depth(self.kind, self.d, self.degree_cap)
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=16)
+def _multi_index_table(d, N):
+    """multi_indices(d, N) as a read-only (C(N+d, d), d) array.
+
+    Column t is built from the prefix tree of the table: every node at
+    depth t (a prefix of t + 1 entries) is repeated once per table row
+    below it, which costs O(d * rows) however large d is.
+    """
+    if N == 0:
+        return _frozen(np.zeros((1, d), dtype=np.intp))
+    budget = np.array([N])
+    table = np.empty((math.comb(N + d, d), d), dtype=np.intp)
+    for t in range(d):
+        children = budget + 1
+        first = np.cumsum(children) - children
+        value = np.arange(children.sum()) - np.repeat(first, children)
+        budget = np.repeat(budget, children) - value
+        rest = d - 1 - t
+        below = np.array([math.comb(b + rest, rest) for b in range(N + 1)])
+        table[:, t] = np.repeat(value, below[budget])
+    return _frozen(table)
 
 
 def multi_indices(d, N):
     """All d-tuples of nonnegative integers with sum <= N, lexicographic."""
-    out = [j for j in itertools.product(range(N + 1), repeat=d) if sum(j) <= N]
-    return out
+    return [tuple(j) for j in _multi_index_table(d, N).tolist()]
 
 
-def _count_or_raise(J):
+def _count_or_raise(J, what="feature count J"):
     if J > MAX_FEATURES:
         raise FeatureCountError(
-            f"feature count J={J} exceeds the supported maximum {MAX_FEATURES}"
+            f"{what}={J} exceeds the supported maximum {MAX_FEATURES}"
         )
+
+
+def _checked_count(kind, d, N, M, r=1):
+    """The feature count J of an enumeration (kind "cube" or "line", r
+    directions), raising FeatureCountError when J or the C(N+d, d) * 2**s
+    leaves of the shared product tree exceed MAX_FEATURES.  A float
+    estimate of log J screens absurd parameters first, so they cost no
+    big-integer arithmetic."""
+    log_groups = d * math.log(M + 1) if kind == "cube" else math.log(r * (M + 1))
+    log_J = (log_groups + math.lgamma(N + d + 1) - math.lgamma(N + 1)
+             - math.lgamma(d + 1))
+    if log_J > math.log(MAX_FEATURES) + 1.0:
+        raise FeatureCountError(
+            f"feature count J of about 10^{log_J / math.log(10):.0f} exceeds "
+            f"the supported maximum {MAX_FEATURES}"
+        )
+    J = (count_features_cube(d, N, M) if kind == "cube"
+         else count_features_pp(d, N, M, r))
+    _count_or_raise(J)
+    _count_or_raise(math.comb(N + d, d) << _tree_depth(kind, d, N),
+                    "product-tree leaf count")
+    return J
 
 
 def count_features_cube(d, N, M):
@@ -119,32 +184,97 @@ def count_features_pp(d, N, M, r):
     return r * (M + 1) * math.comb(N + d, d)
 
 
+class FeatureSet:
+    """The features of one enumeration, held as arrays.
+
+    A FeatureSet stores only what its features are made of: the
+    enumeration parameters (kind, d, degree_cap N, M, half_width, R and,
+    for kind "line", amplitude A), the anchor grid, the r x d direction
+    matrix (kind "line") and the multi-index table, which is
+    multi_indices(d, N) as a (K, d) array.  Column c is multi-index k of
+    group g, with g, k = divmod(c, K).  Group g is the anchor-index tuple
+    of rank g in lexicographic order (kind "cube"), or direction
+    g // (M+1) at anchor g % (M+1) (kind "line").
+
+    len() is the feature count J.  Indexing and iteration build the
+    equal FeatureDescriptor objects (a slice gives a list of them); the
+    design-matrix plan reads the arrays instead.  A FeatureSet carries the
+    family attributes of its descriptors (kind, d, degree_cap, M,
+    half_width, R, amplitude, s), so scale_lower_bound,
+    approx_error_scale and architecture_summary accept it too.
+    """
+
+    def __init__(self, kind, d, degree_cap, M, half_width, R,
+                 amplitude=None, directions=None):
+        self.kind, self.d, self.degree_cap, self.M = kind, d, degree_cap, M
+        self.half_width, self.R, self.amplitude = half_width, R, amplitude
+        step = 2.0 * half_width / M if M > 0 else 0.0
+        # Elementwise -half + i * step, the same double for every anchor
+        # as the scalar expression.
+        self.grid = _frozen(-half_width + np.arange(M + 1) * step)
+        self.directions = (None if directions is None
+                           else _frozen(np.array(directions, dtype=float)))
+        self.multi_index_table = _multi_index_table(d, degree_cap)
+        groups = ((M + 1) ** d if kind == "cube"
+                  else len(self.directions) * (M + 1))
+        self._len = groups * len(self.multi_index_table)
+
+    @property
+    def s(self):
+        return _tree_depth(self.kind, self.d, self.degree_cap)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._descriptor(c) for c in range(*index.indices(len(self)))]
+        c = operator.index(index)
+        if c < 0:
+            c += len(self)
+        if not 0 <= c < len(self):
+            raise IndexError(f"feature index {index} out of range for {len(self)}")
+        return self._descriptor(c)
+
+    def __iter__(self):
+        return map(self._descriptor, range(len(self)))
+
+    def __repr__(self):
+        return (f"FeatureSet(kind={self.kind!r}, d={self.d}, "
+                f"N={self.degree_cap}, M={self.M}, J={len(self)})")
+
+    def _descriptor(self, c):
+        g, k = divmod(c, len(self.multi_index_table))
+        common = dict(kind=self.kind, d=self.d, degree_cap=self.degree_cap,
+                      multi_index=tuple(self.multi_index_table[k].tolist()),
+                      M=self.M, half_width=self.half_width, R=self.R)
+        if self.kind == "cube":
+            idx = tuple(int(i) for i in
+                        np.unravel_index(g, (self.M + 1,) * self.d))
+            return FeatureDescriptor(anchor=tuple(self.grid[list(idx)].tolist()),
+                                     anchor_index=idx, **common)
+        l, i = divmod(g, self.M + 1)
+        return FeatureDescriptor(anchor=float(self.grid[i]), anchor_index=i,
+                                 amplitude=self.amplitude,
+                                 direction=tuple(self.directions[l].tolist()),
+                                 direction_index=l, **common)
+
+
 def enumerate_features_cube(d, N, M, a, R):
-    """All (M+1)^d * C(N+d, d) cube features, ordered lexicographically by
-    (anchor index tuple, multi-index)."""
+    """All (M+1)^d * C(N+d, d) cube features, as a FeatureSet ordered
+    lexicographically by (anchor index tuple, multi-index)."""
     if d < 1 or N < 0 or M < 0:
         raise ParameterError(f"invalid grid parameters d={d}, N={N}, M={M}")
     if not a > 0:
         raise ParameterError(f"a must be positive, got {a!r}")
     R = clamp_scale(R)
-    J = (M + 1) ** d * math.comb(N + d, d)
-    _count_or_raise(J)
-    step = 2.0 * a / M if M > 0 else 0.0
-    js = multi_indices(d, N)
-    out = []
-    for idx in itertools.product(range(M + 1), repeat=d):
-        anchor = tuple(-a + i * step for i in idx)
-        for j in js:
-            out.append(FeatureDescriptor(
-                kind="cube", d=d, degree_cap=N, multi_index=j,
-                anchor=anchor, anchor_index=idx, M=M, half_width=float(a), R=R,
-            ))
-    return out
+    _checked_count("cube", d, N, M)
+    return FeatureSet("cube", d, N, M, float(a), R)
 
 
 def enumerate_features_pp(d, N, M, A, R, directions):
-    """All r * (M+1) * C(N+d, d) projection features, ordered by
-    (direction index, anchor index, multi-index)."""
+    """All r * (M+1) * C(N+d, d) projection features, as a FeatureSet
+    ordered by (direction index, anchor index, multi-index)."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != d:
         raise ParameterError(
@@ -153,28 +283,14 @@ def enumerate_features_pp(d, N, M, A, R, directions):
     r = directions.shape[0]
     if r < 1:
         raise ParameterError("at least one direction is required")
-    if np.any(np.abs(directions) > 1.0 + 1e-12):
+    if not np.all(np.abs(directions) <= 1.0 + 1e-12):  # NaN fails too
         raise ParameterError("direction components must lie in [-1, 1]")
     if N < 0 or M < 0 or not A > 0:
         raise ParameterError(f"invalid grid parameters N={N}, M={M}, A={A}")
     R = clamp_scale(R)
-    J = r * (M + 1) * math.comb(N + d, d)
-    _count_or_raise(J)
-    half = math.sqrt(d) * A
-    step = 2.0 * half / M if M > 0 else 0.0
-    js = multi_indices(d, N)
-    out = []
-    for l in range(r):
-        b = tuple(float(v) for v in directions[l])
-        for i in range(M + 1):
-            u = -half + i * step
-            for j in js:
-                out.append(FeatureDescriptor(
-                    kind="line", d=d, degree_cap=N, multi_index=j,
-                    anchor=u, anchor_index=i, M=M, half_width=half, R=R,
-                    amplitude=float(A), direction=b, direction_index=l,
-                ))
-    return out
+    _checked_count("line", d, N, M, r)
+    return FeatureSet("line", d, N, M, math.sqrt(d) * A, R, float(A),
+                      directions)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +432,6 @@ fold_product_tree = _fold_product_tree
 _BLOCK_ENTRY_BUDGET = 2**14
 
 
-def _group_key(f):
-    # Everything except the multi-index: features sharing a key share every
-    # leaf array and differ only in which leaves fill their trees.
-    return (f.kind, f.d, f.degree_cap, f.anchor, f.direction, f.M,
-            f.half_width, f.R)
-
-
 def _gather(children):
     # Index arrays (positions, sources) of the per-group and of the shared
     # children among one side of a level's per-group node pairs.
@@ -343,7 +452,7 @@ class _TreePlan:
     Level k + 1 folds shared_folds[k] (left and right indices into the
     shared nodes of level k) and group_folds[k] (left and right gathers,
     see _gather); widths[k] counts the per-group nodes of level k, and
-    roots maps each multi-index to its per-group root node.
+    roots[i] is the per-group root node of the i-th multi-index.
     """
 
     kind: str
@@ -352,7 +461,7 @@ class _TreePlan:
     shared_folds: tuple
     group_folds: tuple
     widths: tuple
-    roots: dict
+    roots: np.ndarray
 
 
 def _compile_tree(kind, multi_index_list, s):
@@ -390,13 +499,17 @@ def _compile_tree(kind, multi_index_list, s):
         group_folds.append(tuple(_gather([c[side] for c in group])
                                  for side in (0, 1)))
         widths.append(len(group))
-    roots = {}
-    for j, row in zip(multi_index_list, rows):
-        per_group, index = row[0]
-        assert per_group, "every feature has a tent leaf"
-        roots[j] = index
+    assert all(row[0][0] for row in rows), "every feature has a tent leaf"
+    roots = _frozen(np.array([row[0][1] for row in rows], dtype=np.intp))
     return _TreePlan(kind, shared_leaves, group_leaves, tuple(shared_folds),
                      tuple(group_folds), tuple(widths), roots)
+
+
+@functools.lru_cache(maxsize=16)
+def _tree_plan(kind, d, N):
+    """The _TreePlan over multi_indices(d, N), the tree of every feature
+    set of one (kind, d, N), so each trial of a fit reuses it."""
+    return _compile_tree(kind, multi_indices(d, N), _tree_depth(kind, d, N))
 
 
 def _shared_levels(plan, xb, params):
@@ -421,50 +534,39 @@ def _shared_levels(plan, xb, params):
     return levels
 
 
-def _leaf_sources(plan, heads, xb):
-    """The distinct per-group leaves.
+def _leaf_sources(fs, plan, groups, xb):
+    """The per-group leaves of the given groups of a FeatureSet.
 
-    Returns (sources, index).  A source (leaf name, input column, grid)
-    stands for the named leaf of the column against every grid value; a
-    cube leaf has one source per component, over the distinct grid values
-    it takes across the groups, and a projection tent one per direction,
-    over that direction's anchors, on the one product xb @ direction.
-    index maps (group, per-group leaf) to a column of the source values
-    laid side by side.
+    Returns (sources, index).  A source (leaf name, input column) stands
+    for the named leaf of the column against every anchor of fs.grid: a
+    cube leaf has one source per component, and a projection tent one per
+    direction, on its own product xb @ direction.  index maps (position
+    in groups, per-group leaf) to a column of the source values laid side
+    by side.
     """
-    index = np.empty((len(heads), len(plan.group_leaves)), dtype=np.intp)
-    sources = []
-    offset = 0
-    if plan.kind == "line":
+    m1 = fs.M + 1
+    index = np.empty((groups.size, len(plan.group_leaves)), dtype=np.intp)
+    if fs.kind == "line":
         # The only per-group leaf of a projection tree is its tent.
-        by_direction = {}
-        for g, h in enumerate(heads):
-            by_direction.setdefault(h.direction, []).append(g)
-        for direction, members in by_direction.items():
-            grid, inverse = np.unique([heads[g].anchor for g in members],
-                                      return_inverse=True)
-            sources.append(("tent", xb @ np.asarray(direction), grid))
-            index[members, 0] = offset + inverse
-            offset += grid.size
-        return sources, index
+        lines, position = np.unique(groups // m1, return_inverse=True)
+        index[:, 0] = position * m1 + groups % m1
+        return [("tent", xb @ np.array(fs.directions[l])) for l in lines], index
+    sources = []
     for p, (name, comp) in enumerate(plan.group_leaves):
-        grid, inverse = np.unique([h.anchor[comp] for h in heads],
-                                  return_inverse=True)
-        sources.append((name, xb[:, comp], grid))
-        index[:, p] = offset + inverse
-        offset += grid.size
+        sources.append((name, xb[:, comp]))
+        index[:, p] = p * m1 + groups // m1 ** (fs.d - 1 - comp) % m1
     return sources, index
 
 
-def _leaf_table(sources, lead, params):
+def _leaf_table(sources, fs, params):
     """(n, V) values of every source, side by side."""
     columns = []
-    for name, column, grid in sources:
+    for name, column in sources:
         x = column[:, None]
         if name == "tent":
-            columns.append(_hat_leaf(x, grid, lead.M, lead.half_width, lead.R))
+            columns.append(_hat_leaf(x, fs.grid, fs.M, fs.half_width, fs.R))
         else:
-            columns.append(netblocks.f_id(netblocks.f_id(x - grid, params),
+            columns.append(netblocks.f_id(netblocks.f_id(x - fs.grid, params),
                                           params))
     return np.concatenate(columns, axis=1)
 
@@ -483,36 +585,30 @@ def _operand(gather, prev, shared):
     return buf
 
 
-def _eval_family(feature_list, group_cols, xb, out):
-    """Write the columns of one family (features with one tree shape and
-    one set of leaf parameters) into out, block by block of rows and
-    groups."""
-    heads = [feature_list[cols[0]] for cols in group_cols]
-    lead = heads[0]
-    params = netblocks.BlockParams(R=lead.R)
-    multis = [[feature_list[c].multi_index for c in cols] for cols in group_cols]
-    plan = _compile_tree(lead.kind,
-                         list(dict.fromkeys(itertools.chain(*multis))), lead.s)
-    sources, leaf_index = _leaf_sources(plan, heads, xb)
-
+def _eval_columns(fs, columns, xb, out, out_columns):
+    """Write column columns[i] of the FeatureSet fs into
+    out[:, out_columns[i]], block by block of rows and groups."""
+    plan = _tree_plan(fs.kind, fs.d, fs.degree_cap)
+    params = netblocks.BlockParams(R=fs.R)
+    group_of, k = np.divmod(columns, len(fs.multi_index_table))
+    groups, block = np.unique(group_of, return_inverse=True)
+    order = np.argsort(block, kind="stable")
     width = plan.widths[-1]
-    flat = np.concatenate([
-        g * width + np.array([plan.roots[j] for j in m], dtype=np.intp)
-        for g, m in enumerate(multis)
-    ])
-    cols = np.concatenate(group_cols)
-    bounds = np.cumsum([0] + [len(c) for c in group_cols])
+    flat = (block * width + plan.roots[k])[order]
+    cols = out_columns[order]
+    bounds = np.searchsorted(block[order], np.arange(groups.size + 1))
+    sources, leaf_index = _leaf_sources(fs, plan, groups, xb)
 
     n = xb.shape[0]
     widest = max(plan.widths)
     rows_per_block = max(1, min(n, _BLOCK_ENTRY_BUDGET // widest))
     groups_per_block = max(1, _BLOCK_ENTRY_BUDGET // (rows_per_block * widest))
     shared = _shared_levels(plan, xb, params)
-    table = _leaf_table(sources, lead, params)
+    table = _leaf_table(sources, fs, params)
     for r0 in range(0, n, rows_per_block):
         rows = slice(r0, r0 + rows_per_block)
-        for start in range(0, len(heads), groups_per_block):
-            stop = min(start + groups_per_block, len(heads))
+        for start in range(0, groups.size, groups_per_block):
+            stop = min(start + groups_per_block, groups.size)
             values = np.take(table[rows], leaf_index[start:stop], axis=1)
             for level, (left, right) in enumerate(plan.group_folds):
                 values = netblocks.f_mult(
@@ -524,29 +620,63 @@ def _eval_family(feature_list, group_cols, xb, out):
                 values, flat[lo:hi] - start * width, axis=1)
 
 
-def eval_features(feature_list, xb):
+def _column_sets(features):
+    """(FeatureSet, its columns, output columns) triples covering features.
+
+    A FeatureSet covers itself.  A plain sequence of descriptors is split
+    into families with one set of enumeration parameters, and each family
+    becomes columns of one FeatureSet over the family's distinct
+    direction vectors; a descriptor that is not the feature at its
+    position in that set raises ParameterError.
+    """
+    if isinstance(features, FeatureSet):
+        every = np.arange(len(features))
+        return [(features, every, every)]
+    families = {}
+    for c, f in enumerate(features):
+        key = (f.kind, f.d, f.degree_cap, f.M, f.half_width, f.R, f.amplitude)
+        families.setdefault(key, []).append(c)
+    triples = []
+    for (kind, d, N, M, half, R, A), out_columns in families.items():
+        members = [features[c] for c in out_columns]
+        lines = (list(dict.fromkeys(f.direction for f in members))
+                 if kind == "line" else None)
+        fs = FeatureSet(kind, d, N, M, half, R, A, lines)
+        rank = {j: k for k, j in enumerate(multi_indices(d, N))}
+        line_of = {b: l for l, b in enumerate(lines or ())}
+        columns = []
+        for f in members:
+            if kind == "cube":
+                g = np.ravel_multi_index(f.anchor_index, (M + 1,) * d)
+            else:
+                g = line_of[f.direction] * (M + 1) + f.anchor_index
+            c = int(g) * len(rank) + rank.get(f.multi_index, len(rank))
+            if c >= len(fs) or replace(fs[c], direction_index=f.direction_index) != f:
+                raise ParameterError(f"{f} is not a feature of its enumeration")
+            columns.append(c)
+        triples.append((fs, np.array(columns, dtype=np.intp),
+                        np.array(out_columns, dtype=np.intp)))
+    return triples
+
+
+def eval_features(features, xb):
     """Evaluate many features on an (n, d) batch; returns an (n, J) array.
 
-    Features are grouped by anchor and direction (_group_key), and groups
-    with one tree shape form a family compiled into one _TreePlan.  Each
+    features is a FeatureSet or a sequence of FeatureDescriptors (see
+    _column_sets).  The product tree of a (kind, d, N) is compiled once
+    into a cached _TreePlan; the group of a column, its leaf sources and
+    its root node follow from the set's arrays by index arithmetic.  Each
     distinct leaf is evaluated once, shared tree nodes once for all
     groups, and per-group nodes level by level in one f_mult call per
     block of rows and groups; a block holds at most _BLOCK_ENTRY_BUDGET
     entries at its widest level.
     Every value goes through the same elementwise block recurrences as in
-    eval_feature, so column j equals eval_feature(xb, feature_list[j])
-    bit for bit.
+    eval_feature, so column j equals eval_feature(xb, features[j]) bit
+    for bit.
     """
-    groups = {}
-    for col, f in enumerate(feature_list):
-        groups.setdefault(_group_key(f), []).append(col)
-    families = {}
-    for key, cols in groups.items():
-        # The group key without anchor and direction.
-        families.setdefault(key[:3] + key[5:], []).append(cols)
-    out = np.empty((xb.shape[0], len(feature_list)))
-    for group_cols in families.values():
-        _eval_family(feature_list, group_cols, xb, out)
+    out = np.empty((xb.shape[0], len(features)))
+    for fs, columns, out_columns in _column_sets(features):
+        _eval_columns(fs, columns, xb, out, out_columns)
     return out
 
 

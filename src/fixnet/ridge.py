@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import features as feat
 from .errors import ParameterError, SolverError
@@ -36,12 +35,13 @@ class DesignMatrix:
     """Feature evaluations for a batch of inputs.
 
     values has shape (n, J) with column j holding feature j evaluated at
-    every row of the input batch; feature_order keeps the descriptors in
-    column order so coefficients can be matched back to features.
+    every row of the input batch; feature_order holds the features in
+    column order (the FeatureSet that was evaluated, or a tuple of
+    descriptors) so coefficients can be matched back to features.
     """
 
     values: np.ndarray
-    feature_order: tuple
+    feature_order: feat.FeatureSet | tuple
 
     @property
     def n(self):
@@ -52,33 +52,40 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def build_design_matrix(feature_list, x, warn_out_of_domain=True):
+def build_design_matrix(features, x, warn_out_of_domain=True):
     """Evaluate every feature on a batch of inputs.
 
-    After the checks below, the matrix comes from features.eval_features,
-    which compiles one plan per call: features are grouped by anchor and
-    direction, tree nodes are de-duplicated by their child pair, shared
-    nodes (constant and raw-monomial leaves only) are folded once for all
+    features is a FeatureSet (what enumerate_features_* return) or a
+    sequence of FeatureDescriptors.  After the checks below, the matrix
+    comes from features.eval_features: the product tree of the features'
+    (kind, d, N) is compiled once and cached, each column's group, leaves
+    and root node follow from the FeatureSet arrays by index arithmetic,
+    tree nodes are de-duplicated by their child pair, shared nodes
+    (constant and raw-monomial leaves only) are folded once for all
     groups, and per-group nodes are folded level by level for blocks of
     rows and groups of at most features._BLOCK_ENTRY_BUDGET entries, so
     memory beyond the (n, J) result stays bounded.  Column j equals
-    eval_feature(x, feature_list[j]) bit for bit.
+    eval_feature(x, features[j]) bit for bit.  The returned
+    feature_order is the FeatureSet itself, or the descriptors as a
+    tuple.
     """
-    feature_list = tuple(feature_list)
-    if not feature_list:
-        raise ParameterError("need at least one feature")
-    d = feature_list[0].d
+    if isinstance(features, feat.FeatureSet):
+        lead = features  # it carries the family attributes of its features
+    else:
+        features = tuple(features)
+        if not features:
+            raise ParameterError("need at least one feature")
+        lead = features[0]
+        if any(f.d != lead.d for f in features):
+            raise ParameterError("features disagree on input dimension")
+    d = lead.d
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     if xb.ndim != 2 or xb.shape[1] != d:
         raise ParameterError(f"input batch must have shape (n, {d})")
     if not np.all(np.isfinite(xb)):
         raise ParameterError("input batch contains non-finite values")
-    for f in feature_list:
-        if f.d != d:
-            raise ParameterError("features disagree on input dimension")
 
     if warn_out_of_domain:
-        lead = feature_list[0]
         half = lead.half_width if lead.kind == "cube" else lead.amplitude
         if np.any(np.abs(xb) > half + 1e-12):
             warnings.warn(
@@ -87,9 +94,9 @@ def build_design_matrix(feature_list, x, warn_out_of_domain=True):
                 stacklevel=2,
             )
 
-    feat._warn_if_low_R(feature_list[0])
-    return DesignMatrix(values=feat.eval_features(feature_list, xb),
-                        feature_order=feature_list)
+    feat._warn_if_low_R(lead)
+    return DesignMatrix(values=feat.eval_features(features, xb),
+                        feature_order=features)
 
 
 def _pairwise_reduce(parts):
@@ -132,6 +139,7 @@ def _spd_solver(mat):
     reports the matrix as not positive definite; raises SolverError when
     that fails too.
     """
+    import scipy.linalg  # here, so importing the package does not load scipy
     anorm = np.linalg.norm(mat, 1)
     try:
         factor = scipy.linalg.cho_factor(mat, lower=False, check_finite=False)

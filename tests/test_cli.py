@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fixnet import ridge
+from fixnet.estimators import load_estimator
+from fixnet.features import count_features_pp, eval_feature
 from fixnet.cli import block_check_rows, decay_check_rows, main, run_approx_check
 from fixnet.rng import Stream
 
@@ -152,6 +156,48 @@ def test_predict_dimension_mismatch(tmp_path, capsys):
     assert "expects d=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"beta": "-3"}, "beta must be positive"),
+    ({"beta": "nan"}, "beta must be positive"),
+    ({"coefficients": ["nan"]}, "coefficients must be finite"),
+    ({"M": 2000, "coefficients": ["1"]}, "does not match feature count"),
+])
+def test_predict_rejects_invalid_model_documents(tmp_path, capsys, edit, message):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    model = tmp_path / "model.json"
+    config = _write_config(tmp_path / "fit.json", FAST_FIT)
+    assert main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    if edit.get("coefficients") == ["nan"]:
+        edit = {"coefficients": ["nan"] + doc["coefficients"][1:]}
+    model.write_text(json.dumps({**doc, **edit}))
+    query = tmp_path / "query.csv"
+    _write_query_csv(query, [(0.1, -0.2)])
+    out_csv = tmp_path / "out.csv"
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model), "--input", str(query),
+                 "--output", str(out_csv)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # Only the ridge solve and the radial-basis fit need scipy; predict
+    # and approx-check processes should not pay for importing it.
+    repo = Path(__file__).resolve().parents[1]
+    code = ("import sys, fixnet.cli; "
+            "sys.exit(1 if 'scipy' in sys.modules else 0)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
 def test_fit_reports_csv_header_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x1,x2\n0.1,0.2\n")
@@ -268,14 +314,46 @@ def test_run_approx_check_full_includes_decay():
 
 def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # The benchmark's tracer patches fixnet attributes by name and fails
-    # before running anything when one of them has been removed.
+    # before running anything when one of them has been removed.  It
+    # counts descriptors as len() of what enumerate_features_* return,
+    # and the benchmark checks predictions by iterating a model's
+    # features through eval_feature.
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    tracer = [sys.executable, str(repo / "perfbench" / "tracer.py")]
     proc = subprocess.run(
-        [sys.executable, str(repo / "perfbench" / "tracer.py"),
-         str(tmp_path), "--", "approx-check", "--quick"],
+        tracer + [str(tmp_path), "--", "approx-check", "--quick"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(tmp_path.glob("spans-*.npz"))
+
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    x, _ = _write_training_csv(fit_dir / "train.csv")
+    config = _write_config(fit_dir / "fit.json", {**FAST_FIT, "trials": 2})
+    model = fit_dir / "model.json"
+    proc = subprocess.run(
+        tracer + [str(fit_dir), "--", "fit", "--config", config,
+                  "--input", str(fit_dir / "train.csv"),
+                  "--output", str(model)],
+        cwd=fit_dir, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", repo / "perfbench" / "tracer.py")
+    perfbench_tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perfbench_tracer)
+    metrics, _ = perfbench_tracer.summarize(str(fit_dir))
+    est = load_estimator(str(model))
+    J = count_features_pp(2, FAST_FIT["N"], FAST_FIT["M"], FAST_FIT["r"])
+    assert est.width == J
+    assert metrics["features.descriptors"] == 2 * J
+    assert metrics["estimators.trials"] == 2
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="scale R is below",
+                                category=RuntimeWarning)
+        design = ridge.build_design_matrix(est.features, x,
+                                           warn_out_of_domain=False)
+        for j, f in enumerate(est.features):
+            assert np.array_equal(design.values[:, j], eval_feature(x, f)), j

@@ -12,7 +12,7 @@ import pytest
 
 from fixnet import estimators
 from fixnet.data import Dataset
-from fixnet.errors import EstimatorError, ParameterError, SolverError
+from fixnet.errors import EstimatorError, FixnetError, ParameterError, SolverError
 from fixnet.estimators import (
     PPConfig,
     SmoothConfig,
@@ -260,3 +260,54 @@ def test_deserialization_rejects_malformed_documents(tmp_path):
         from_json_dict({**doc, "coefficients": doc["coefficients"][:-1]})
     with pytest.raises(ParameterError, match="unknown estimator kind"):
         from_json_dict({**doc, "kind": "mystery"})
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("beta", "-3", "beta must be positive"),
+    ("beta", "nan", "beta must be positive"),
+    ("beta", "0", "beta must be positive"),
+    ("R", "inf", "R must be positive"),
+    ("penalty", "-1", "penalty must be positive"),
+    ("domain_half", "0", "domain_half must be positive"),
+    ("d", 0, "d must be an integer >= 1"),
+    ("M", -1, "M must be an integer >= 0"),
+    ("N", 1.5, "malformed"),
+    ("beta", None, "malformed"),
+    ("directions", [["x", "0"]], "malformed"),
+    ("directions", [["nan", "0"]], "must lie in"),
+])
+def test_deserialization_rejects_out_of_range_fields(field, value, match):
+    data = _toy_data(30, seed=17)
+    with _quiet():
+        doc = to_json_dict(fit_pp(data, PP_SMALL))
+    if field == "directions":  # keep the count check satisfied
+        value = value + doc["directions"][1:]
+    with pytest.raises(ParameterError, match=match):
+        from_json_dict({**doc, field: value})
+
+
+def test_deserialization_rejects_non_finite_coefficients():
+    data = _toy_data(30, seed=17)
+    with _quiet():
+        doc = to_json_dict(fit_pp(data, PP_SMALL))
+    for bad in ("nan", "inf", "-inf"):
+        coefs = [bad] + doc["coefficients"][1:]
+        with pytest.raises(ParameterError, match="coefficients must be finite"):
+            from_json_dict({**doc, "coefficients": coefs})
+    assert np.array_equal(from_json_dict(doc).coefficients,
+                          [float(c) for c in doc["coefficients"]])
+
+
+def test_deserialization_checks_the_count_before_enumerating(monkeypatch):
+    data = _toy_data(30, seed=17)
+    with _quiet():
+        doc = to_json_dict(fit_smooth(data, SmoothConfig(N=1, M=2, R=1e6)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the count check")
+
+    monkeypatch.setattr(estimators.feat, "enumerate_features_cube", refuse)
+    monkeypatch.setattr(estimators.feat, "enumerate_features_pp", refuse)
+    for grid in ({"M": 2000}, {"M": 10**9, "d": 10**9}):
+        with pytest.raises(FixnetError, match="feature count"):
+            from_json_dict({**doc, **grid, "coefficients": ["1"]})

@@ -2,6 +2,8 @@
 approximant, and the architecture audit."""
 
 import contextlib
+import dataclasses
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -16,6 +18,8 @@ from fixnet.netblocks import BlockParams, exact_hat, f_hat, f_id, f_mult
 from fixnet.errors import FeatureCountError, ParameterError
 from fixnet.features import (
     MAX_FEATURES,
+    FeatureDescriptor,
+    FeatureSet,
     _compile_tree,
     architecture_summary,
     count_features_cube,
@@ -94,6 +98,63 @@ def test_enumeration_order_is_lexicographic():
     line = enumerate_features_pp(2, 1, 1, 1.0, 1e5, DIRECTIONS)
     line_keys = [(f.direction_index, f.anchor_index, f.multi_index) for f in line]
     assert line_keys == sorted(line_keys)
+
+
+def _reference_cube(d, N, M, a, R):
+    # The enumeration as nested loops over descriptors, kept here as the
+    # definition the FeatureSet must reproduce.
+    step = 2.0 * a / M if M > 0 else 0.0
+    js = [j for j in itertools.product(range(N + 1), repeat=d) if sum(j) <= N]
+    return [FeatureDescriptor(kind="cube", d=d, degree_cap=N, multi_index=j,
+                              anchor=tuple(-a + i * step for i in idx),
+                              anchor_index=idx, M=M, half_width=float(a), R=R)
+            for idx in itertools.product(range(M + 1), repeat=d) for j in js]
+
+
+def _reference_line(d, N, M, A, R, directions):
+    half = math.sqrt(d) * A
+    step = 2.0 * half / M if M > 0 else 0.0
+    js = [j for j in itertools.product(range(N + 1), repeat=d) if sum(j) <= N]
+    return [FeatureDescriptor(kind="line", d=d, degree_cap=N, multi_index=j,
+                              anchor=-half + i * step, anchor_index=i, M=M,
+                              half_width=half, R=R, amplitude=float(A),
+                              direction=tuple(float(v) for v in b),
+                              direction_index=l)
+            for l, b in enumerate(directions) for i in range(M + 1) for j in js]
+
+
+@pytest.mark.parametrize("d, N, M", [(1, 0, 0), (1, 2, 3), (2, 0, 4), (2, 2, 0),
+                                     (3, 1, 2), (2, 3, 1), (4, 2, 1)])
+def test_enumeration_matches_the_reference_loops(d, N, M):
+    cube = enumerate_features_cube(d, N, M, 0.7, 1e5)
+    assert isinstance(cube, FeatureSet)
+    assert len(cube) == count_features_cube(d, N, M)
+    want = _reference_cube(d, N, M, 0.7, 1e5)
+    assert list(cube) == want
+    assert [cube[c] for c in range(-len(cube), len(cube))] == want + want
+    assert cube[1::3] == want[1::3]
+    for r in (1, 3):
+        directions = Stream(d + N + M).uniform_matrix(r, d, low=-1.0, high=1.0)
+        line = enumerate_features_pp(d, N, M, 0.9, 1e6, directions)
+        assert len(line) == count_features_pp(d, N, M, r)
+        want = _reference_line(d, N, M, 0.9, 1e6, directions)
+        assert list(line) == want
+        assert line[-1] == want[-1] and line[::5] == want[::5]
+    with pytest.raises(IndexError):
+        cube[len(cube)]
+
+
+def test_multi_indices_stay_cheap_in_high_dimension():
+    # Built from the prefix tree, not by filtering all (N+1)^d tuples
+    # (3^40 here), and oversized tables are refused before any is built.
+    table = multi_indices(40, 2)
+    assert len(table) == math.comb(42, 2)
+    assert table[:3] == [(0,) * 40, (0,) * 39 + (1,), (0,) * 39 + (2,)]
+    assert table == sorted(table) and all(sum(j) <= 2 for j in table)
+    with pytest.raises(FeatureCountError, match="product-tree leaf count"):
+        enumerate_features_cube(10**7, 0, 0, 1.0, 1e5)
+    with pytest.raises(FeatureCountError, match="about 10\\^"):
+        enumerate_features_cube(10**9, 10**9, 10**9, 1.0, 1e5)
 
 
 def test_tree_size_exponent():
@@ -326,7 +387,7 @@ def test_projection_plan_shares_the_monomial_nodes():
     plan = _compile_tree("line", multi_indices(6, 2), 2)
     assert plan.widths == (1, 7, 28)
     assert [left.size for left, _ in plan.shared_folds] == [22, 0]
-    assert sorted(plan.roots.values()) == list(range(28))
+    assert sorted(plan.roots.tolist()) == list(range(28))
     cube = _compile_tree("cube", multi_indices(2, 2), 2)
     assert cube.shared_leaves == (("one",),)
 
@@ -346,6 +407,8 @@ def _feature_lists(draw):
         directions = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
                                             min_size=r, max_size=r)))
         feats = enumerate_features_pp(d, N, M, 1.0, R, directions)
+    if draw(st.booleans()):
+        return feats
     order = draw(st.permutations(range(len(feats))))
     start = draw(st.integers(0, len(feats) - 1))
     step = draw(st.integers(1, 3))
@@ -357,7 +420,9 @@ def _feature_lists(draw):
        seed=st.integers(0, 2**16), budget=st.sampled_from([1, 5, 64, 2**14]))
 def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
                                                             seed, budget):
-    # Small entry budgets split the plan into many row and group blocks.
+    # feats is a whole FeatureSet or a permuted, sliced list of its
+    # descriptors.  Small entry budgets split the plan into many row and
+    # group blocks.
     d = feats[0].d
     x = Stream(seed).uniform_matrix(n, d, low=-1.2, high=1.2)
     if point:
@@ -401,3 +466,14 @@ def test_design_matrix_mixes_feature_families():
         design = build_design_matrix(feats, x, warn_out_of_domain=False)
         for j, f in enumerate(feats):
             assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j
+
+
+def test_design_matrix_refuses_descriptors_off_their_grid():
+    # A descriptor list is evaluated as columns of FeatureSets rebuilt from
+    # the descriptors' parameters, so one whose anchor is not the grid
+    # value at its anchor index cannot be evaluated that way.
+    feats = list(enumerate_features_pp(2, 1, 2, 1.0, 1e5, DIRECTIONS))
+    feats[3] = dataclasses.replace(feats[3], anchor=feats[3].anchor + 1e-3)
+    with _silence_low_r(), pytest.raises(ParameterError,
+                                         match="not a feature of its enumeration"):
+        build_design_matrix(feats, np.zeros((2, 2)), warn_out_of_domain=False)
