@@ -254,9 +254,7 @@ def cmd_predict(args):
                "estimator_kind": est.kind, "d": est.d}
     lines = _reproducibility_header("predictions", run_cfg, est.seed)
     lines.append("prediction")
-    if x.shape[0]:
-        values = np.atleast_1d(predict(est, x))
-        lines.extend(f"{v:.17g}" for v in values)
+    lines.extend(f"{v:.17g}" for v in predict(est, x))
     with open(output_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"{x.shape[0]} predictions written to {output_path}")

@@ -313,21 +313,19 @@ def predict(estimator, x):
     Inputs outside the training cube are evaluated as-is; every feature is
     total, so predictions stay finite everywhere.  Large batches are
     evaluated in row chunks to bound memory; predictions are row-wise, so
-    chunking does not change them.
+    chunking does not change them.  A (0, d) batch gives an empty array.
     """
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     batch = np.atleast_2d(arr)
     step = max(1, _PREDICT_ENTRY_BUDGET // max(estimator.width, 1))
-    parts = []
+    raw = np.empty(batch.shape[0])
     for i in range(0, batch.shape[0], step):
         # No name holds the design, so each chunk's matrix is freed before
         # the next one is built.
-        parts.append(ridge.build_design_matrix(estimator.features,
-                                               batch[i : i + step],
-                                               warn_out_of_domain=False).values
-                     @ estimator.coefficients)
-    raw = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        raw[i : i + step] = (ridge.build_design_matrix(
+            estimator.features, batch[i : i + step],
+            warn_out_of_domain=False).values @ estimator.coefficients)
     out = np.clip(raw, -estimator.beta, estimator.beta)
     return float(out[0]) if single else out
 

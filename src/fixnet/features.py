@@ -31,10 +31,17 @@ evaluates a whole design matrix through a plan:
 - template nodes are de-duplicated by their child pair.  Shared nodes
   (only constant or raw-monomial leaves below) are evaluated once, not
   once per group; per-group nodes (a tent or an anchor-shifted monomial
-  below) are evaluated for blocks of rows and groups, a block holding at
-  most _BLOCK_ENTRY_BUDGET (row, group, node) entries at its widest level;
-- each distinct leaf is evaluated once, and the fold runs level by level,
-  one f_mult call per level per block.
+  below) are evaluated for blocks of whole groups and rows, as many
+  groups as fit first, a block holding at most _BLOCK_ENTRY_BUDGET (row,
+  group, node) entries at its widest level;
+- each distinct leaf is evaluated once, and the fold runs level by level.
+  A level lays its per-group nodes out by child class (per-group with
+  per-group, per-group with shared, shared with per-group), so each class
+  is one f_mult call per block, written in place into its run of the
+  level.  A shared child enters as a view broadcast over the groups, a
+  per-group child as a view or one gather of the level below;
+- a group's columns are contiguous in a FeatureSet, so each block is
+  written to its rows and columns of the result by one np.take.
 
 Every value passes through the same elementwise block recurrences, with
 the same operands in the same order, as in eval_feature, so the plan's
@@ -427,18 +434,37 @@ fold_product_tree = _fold_product_tree
 
 # Cap on (row, group, node) entries of one block of per-group tree nodes,
 # counted at the widest tree level.  It bounds the fold's temporaries, and
-# blocks this small stay in cache: on a 2-vCPU Xeon with numpy 2.4, f_mult
-# on 2^14 entries takes 22 ns per entry, on 2^18 entries 55 ns.
-_BLOCK_ENTRY_BUDGET = 2**14
+# blocks this small stay in cache: on a 2-vCPU Xeon (2 MiB L2 per core)
+# with numpy 2.4, the in-place f_mult takes 14-22 ns per entry on 2^14 and
+# 2^15 entries, where its five block-sized arrays fit in L2, and 32-45 ns
+# on 2^16 and 2^18 entries.  Smaller blocks pay the per-call cost of its
+# 32 ufunc calls more often: design builds of both plan shapes (projection
+# and cube) ran 5-15% faster at 2^15 than at 2^14.
+_BLOCK_ENTRY_BUDGET = 2**15
+
+# The classes of per-group tree nodes by the kind of their (left, right)
+# children, True for per-group, in the order a level lays them out.
+_GROUP_CLASSES = ((True, True), (True, False), (False, True))
 
 
-def _gather(children):
-    # Index arrays (positions, sources) of the per-group and of the shared
-    # children among one side of a level's per-group node pairs.
-    group = [(pos, c[1]) for pos, c in enumerate(children) if c[0]]
-    shared = [(pos, c[1]) for pos, c in enumerate(children) if not c[0]]
-    return tuple(np.array([t[k] for t in part], dtype=np.intp)
-                 for part in (group, shared) for k in (0, 1))
+def _side(children, group, picks):
+    """One operand of a class of per-group nodes, as (group, index).
+
+    A shared side (group False) indexes picks, the shared nodes gathered
+    for the level's classes, by a slice: the children are appended to
+    picks.  A per-group side indexes the previous level by a slice when
+    its children are one node or a run of consecutive nodes, and by an
+    index array otherwise.
+    """
+    if not group:
+        picks.extend(children)
+        return False, slice(len(picks) - len(children), len(picks))
+    lo = children[0]
+    if all(c == lo for c in children):
+        return True, slice(lo, lo + 1)
+    if children == list(range(lo, lo + len(children))):
+        return True, slice(lo, lo + len(children))
+    return True, np.array(children, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -450,8 +476,11 @@ class _TreePlan:
     same values in every group and is folded once for all of them; a
     per-group node has a tent or an anchor-shifted monomial below it.
     Level k + 1 folds shared_folds[k] (left and right indices into the
-    shared nodes of level k) and group_folds[k] (left and right gathers,
-    see _gather); widths[k] counts the per-group nodes of level k, and
+    shared nodes of level k) and the per-group nodes of group_folds[k].
+    Those are laid out by child class (_GROUP_CLASSES), each class a run
+    (lo, hi, left, right) of the level with operands from _side; a shared
+    operand slices shared_picks[k], indices into the shared nodes of
+    level k.  widths[k] counts the per-group nodes of level k, and
     roots[i] is the per-group root node of the i-th multi-index.
     """
 
@@ -460,6 +489,7 @@ class _TreePlan:
     group_leaves: tuple
     shared_folds: tuple
     group_folds: tuple
+    shared_picks: tuple
     widths: tuple
     roots: np.ndarray
 
@@ -480,29 +510,33 @@ def _compile_tree(kind, multi_index_list, s):
             row.append(ids[token])
         rows.append(row)
     shared_leaves, group_leaves = map(tuple, nodes)
-    shared_folds, group_folds, widths = [], [], [len(group_leaves)]
+    shared_folds, group_folds, shared_picks = [], [], []
+    widths = [len(group_leaves)]
     while len(rows[0]) > 1:
-        nodes = ([], [])
-        ids = {}
-        for i, row in enumerate(rows):
-            merged = []
-            for pair in zip(row[0::2], row[1::2]):
-                if pair not in ids:
-                    side = pair[0][0] or pair[1][0]
-                    ids[pair] = (side, len(nodes[side]))
-                    nodes[side].append(pair)
-                merged.append(ids[pair])
-            rows[i] = merged
-        shared, group = nodes
-        shared_folds.append(tuple(np.array([c[side][1] for c in shared],
+        rows = [list(zip(row[0::2], row[1::2])) for row in rows]
+        pairs = list(dict.fromkeys(pair for row in rows for pair in row))
+        shared = [p for p in pairs if not (p[0][0] or p[1][0])]
+        ids = {p: (False, i) for i, p in enumerate(shared)}
+        classes, picks = [], []
+        for cls in _GROUP_CLASSES:
+            members = [p for p in pairs if (p[0][0], p[1][0]) == cls]
+            if members:
+                lo = len(ids) - len(shared)
+                ids.update((p, (True, lo + i)) for i, p in enumerate(members))
+                classes.append((lo, lo + len(members)) + tuple(
+                    _side([p[side][1] for p in members], cls[side], picks)
+                    for side in (0, 1)))
+        rows = [[ids[p] for p in row] for row in rows]
+        shared_folds.append(tuple(np.array([p[side][1] for p in shared],
                                            dtype=np.intp) for side in (0, 1)))
-        group_folds.append(tuple(_gather([c[side] for c in group])
-                                 for side in (0, 1)))
-        widths.append(len(group))
+        group_folds.append(tuple(classes))
+        shared_picks.append(np.array(picks, dtype=np.intp))
+        widths.append(len(ids) - len(shared))
     assert all(row[0][0] for row in rows), "every feature has a tent leaf"
     roots = _frozen(np.array([row[0][1] for row in rows], dtype=np.intp))
     return _TreePlan(kind, shared_leaves, group_leaves, tuple(shared_folds),
-                     tuple(group_folds), tuple(widths), roots)
+                     tuple(group_folds), tuple(shared_picks), tuple(widths),
+                     roots)
 
 
 @functools.lru_cache(maxsize=16)
@@ -571,67 +605,70 @@ def _leaf_table(sources, fs, params):
     return np.concatenate(columns, axis=1)
 
 
-def _operand(gather, prev, shared):
-    """One side of a level's per-group f_mult, as a contiguous
-    (rows, groups, nodes) array: per-group children are copied, shared
-    ones broadcast over the groups."""
-    gpos, gsrc, spos, ssrc = gather
-    if not spos.size:
-        return np.take(prev, gsrc, axis=2)
-    rows, groups = prev.shape[:2]
-    buf = np.empty((rows, groups, gpos.size + spos.size))
-    buf[:, :, gpos] = np.take(prev, gsrc, axis=2)
-    buf[:, :, spos] = np.take(shared, ssrc, axis=1)[:, None, :]
-    return buf
+def _class_operand(side, values, picked):
+    """One operand of a class of per-group nodes (see _side): a view or
+    one gather of the previous level's values, shape (rows, k, groups),
+    or a (rows, k, 1) view of the level's picked shared nodes."""
+    group, index = side
+    source = values if group else picked
+    if isinstance(index, slice):
+        return source[:, index]
+    return np.take(source, index, axis=1)
 
 
-def _eval_columns(fs, columns, xb, out, out_columns):
-    """Write column columns[i] of the FeatureSet fs into
-    out[:, out_columns[i]], block by block of rows and groups."""
+def _eval_groups(fs, groups, xb, out):
+    """Write every column of the given groups of the FeatureSet fs into
+    out, group i of groups to the contiguous columns i*K .. i*K + K - 1
+    (K multi-indices), block by block of whole groups and rows.
+
+    A block holds the values of a tree level as a (rows, nodes, groups)
+    array, so the innermost axis of every f_mult ufunc runs over the
+    block's groups, the shared children broadcast along it, and a class's
+    run of nodes is one contiguous stretch per row.
+    """
     plan = _tree_plan(fs.kind, fs.d, fs.degree_cap)
     params = netblocks.BlockParams(R=fs.R)
-    group_of, k = np.divmod(columns, len(fs.multi_index_table))
-    groups, block = np.unique(group_of, return_inverse=True)
-    order = np.argsort(block, kind="stable")
-    width = plan.widths[-1]
-    flat = (block * width + plan.roots[k])[order]
-    cols = out_columns[order]
-    bounds = np.searchsorted(block[order], np.arange(groups.size + 1))
-    sources, leaf_index = _leaf_sources(fs, plan, groups, xb)
-
+    K = len(fs.multi_index_table)
     n = xb.shape[0]
     widest = max(plan.widths)
-    rows_per_block = max(1, min(n, _BLOCK_ENTRY_BUDGET // widest))
-    groups_per_block = max(1, _BLOCK_ENTRY_BUDGET // (rows_per_block * widest))
-    shared = _shared_levels(plan, xb, params)
+    groups_per_block = max(1, min(groups.size, _BLOCK_ENTRY_BUDGET // widest))
+    rows_per_block = max(1, _BLOCK_ENTRY_BUDGET // (groups_per_block * widest))
+    sources, leaf_index = _leaf_sources(fs, plan, groups, xb)
+    picked = [np.take(level, picks, axis=1)[:, :, None] for level, picks
+              in zip(_shared_levels(plan, xb, params), plan.shared_picks)]
     table = _leaf_table(sources, fs, params)
-    for r0 in range(0, n, rows_per_block):
-        rows = slice(r0, r0 + rows_per_block)
-        for start in range(0, groups.size, groups_per_block):
-            stop = min(start + groups_per_block, groups.size)
-            values = np.take(table[rows], leaf_index[start:stop], axis=1)
-            for level, (left, right) in enumerate(plan.group_folds):
-                values = netblocks.f_mult(
-                    _operand(left, values, shared[level][rows]),
-                    _operand(right, values, shared[level][rows]), params)
-            values = values.reshape(values.shape[0], -1)
-            lo, hi = bounds[start], bounds[stop]
-            out[rows, cols[lo:hi]] = np.take(
-                values, flat[lo:hi] - start * width, axis=1)
+    for start in range(0, groups.size, groups_per_block):
+        stop = min(start + groups_per_block, groups.size)
+        # Column g*K + k of the block takes root k of its group g.
+        roots = (plan.roots * (stop - start)
+                 + np.arange(stop - start)[:, None]).ravel()
+        index = leaf_index[start:stop].T
+        for r0 in range(0, n, rows_per_block):
+            rows = slice(r0, r0 + rows_per_block)
+            values = np.take(table[rows], index, axis=1)
+            for level, classes in enumerate(plan.group_folds):
+                prev, shared = values, picked[level][rows]
+                values = np.empty((prev.shape[0], plan.widths[level + 1],
+                                   prev.shape[2]))
+                for lo, hi, left, right in classes:
+                    netblocks.f_mult(_class_operand(left, prev, shared),
+                                     _class_operand(right, prev, shared),
+                                     params, out=values[:, lo:hi])
+            # With mode="raise" np.take always buffers out; every index is
+            # in range.
+            np.take(values.reshape(values.shape[0], -1), roots, axis=1,
+                    out=out[rows, start * K:stop * K], mode="clip")
 
 
 def _column_sets(features):
-    """(FeatureSet, its columns, output columns) triples covering features.
+    """(FeatureSet, its columns, output columns) triples covering a
+    sequence of descriptors.
 
-    A FeatureSet covers itself.  A plain sequence of descriptors is split
-    into families with one set of enumeration parameters, and each family
-    becomes columns of one FeatureSet over the family's distinct
-    direction vectors; a descriptor that is not the feature at its
-    position in that set raises ParameterError.
+    The descriptors are split into families with one set of enumeration
+    parameters, and each family becomes columns of one FeatureSet over
+    the family's distinct direction vectors; a descriptor that is not the
+    feature at its position in that set raises ParameterError.
     """
-    if isinstance(features, FeatureSet):
-        every = np.arange(len(features))
-        return [(features, every, every)]
     families = {}
     for c, f in enumerate(features):
         key = (f.kind, f.d, f.degree_cap, f.M, f.half_width, f.R, f.amplitude)
@@ -662,21 +699,35 @@ def _column_sets(features):
 def eval_features(features, xb):
     """Evaluate many features on an (n, d) batch; returns an (n, J) array.
 
-    features is a FeatureSet or a sequence of FeatureDescriptors (see
-    _column_sets).  The product tree of a (kind, d, N) is compiled once
-    into a cached _TreePlan; the group of a column, its leaf sources and
-    its root node follow from the set's arrays by index arithmetic.  Each
-    distinct leaf is evaluated once, shared tree nodes once for all
-    groups, and per-group nodes level by level in one f_mult call per
-    block of rows and groups; a block holds at most _BLOCK_ENTRY_BUDGET
-    entries at its widest level.
+    features is a FeatureSet or a sequence of FeatureDescriptors.  The
+    product tree of a (kind, d, N) is compiled once into a cached
+    _TreePlan; the group of a column, its leaf sources and its root node
+    follow from the set's arrays by index arithmetic.  Each distinct leaf
+    is evaluated once and shared tree nodes once for all groups.
+    Per-group nodes are folded for blocks of whole groups and rows, a
+    block holding at most _BLOCK_ENTRY_BUDGET entries at its widest
+    level, with one f_mult call per child class per level; a shared child
+    enters as a view broadcast over the groups, and each block's columns,
+    contiguous in a FeatureSet, are written by one np.take.  A sequence
+    of descriptors is mapped onto FeatureSet columns (see _column_sets);
+    the whole groups holding them are evaluated into a dense array, from
+    which the columns are copied in list order.
     Every value goes through the same elementwise block recurrences as in
     eval_feature, so column j equals eval_feature(xb, features[j]) bit
     for bit.
     """
-    out = np.empty((xb.shape[0], len(features)))
+    n = xb.shape[0]
+    out = np.empty((n, len(features)))
+    if isinstance(features, FeatureSet):
+        K = len(features.multi_index_table)
+        _eval_groups(features, np.arange(len(features) // K), xb, out)
+        return out
     for fs, columns, out_columns in _column_sets(features):
-        _eval_columns(fs, columns, xb, out, out_columns)
+        K = len(fs.multi_index_table)
+        groups, position = np.unique(columns // K, return_inverse=True)
+        dense = np.empty((n, groups.size * K))
+        _eval_groups(fs, groups, xb, dense)
+        out[:, out_columns] = dense[:, position * K + columns % K]
     return out
 
 

@@ -146,22 +146,62 @@ def f_sq(x, params):
     return _maybe_scalar(out)
 
 
-def f_mult(x, y, params):
+def _second_diff_into(z, m, e, ze, t, dest):
+    """_sigma_second_diff(base, delta) into dest, with z = exp(-base) and
+    m holding -delta on entry.
+
+    The same ufuncs on the same operands in the same order as
+    _sigma_second_diff, each writing into one of the scratch arrays m, e,
+    ze and t (all of dest's shape); dest may be m.
+    """
+    np.expm1(m, out=m)               # m
+    np.add(1.0, m, out=e)            # E
+    np.multiply(z, e, out=ze)        # zE
+    np.multiply(ze, e, out=e)
+    np.add(1.0, e, out=e)            # 1 + zE*E
+    np.add(1.0, ze, out=t)
+    np.multiply(1.0 + z, t, out=t)   # (1+z)(1+zE)
+    np.multiply(t, e, out=e)         # denominator
+    np.subtract(1.0, ze, out=ze)     # 1 - zE
+    np.multiply(-z, m, out=t)
+    np.multiply(t, m, out=t)
+    np.multiply(t, ze, out=t)        # numerator
+    np.divide(t, e, out=dest)
+
+
+def f_mult(x, y, params, out=None):
     """Product block.
 
     (R^2 / (4*sigma''(1))) * (sigma(2u+1) - 2*sigma(u+1) - sigma(2v+1) + 2*sigma(v+1))
     with u = (x+y)/R and v = (x-y)/R; the two second differences around 1
     cancel their constant terms, leaving ~ x*y.
+
+    x and y broadcast against each other.  The result goes to out when it
+    is given (out must not overlap x or y); otherwise a new array, or a
+    float for 0-d inputs, is returned.  The value is bitwise
+    _sigma_second_diff(1, u) - _sigma_second_diff(1, v) times the scale,
+    computed in place in four scratch arrays that the u and v halves
+    share.  The halves hand expm1 (x+y)/(-R) and (y-x)/R: IEEE division
+    and subtraction are sign-symmetric, so these are exactly -u and -v,
+    up to the sign of a zero v, which m*m squares away.
     """
     prof = admissibility_constants()
     R = params.R
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    u = (x + y) / R
-    v = (x - y) / R
-    second = _sigma_second_diff(prof.t_sigma, u) - _sigma_second_diff(prof.t_sigma, v)
-    out = (R * R / (4.0 * prof.d2_at_sq)) * second
-    return _maybe_scalar(out)
+    shape = np.broadcast(x, y).shape
+    result = np.empty(shape) if out is None else out
+    m, e, ze, t = (np.empty(shape) for _ in range(4))
+    z = np.exp(-prof.t_sigma)
+    np.add(x, y, out=m)
+    np.divide(m, -R, out=m)
+    _second_diff_into(z, m, e, ze, t, result)
+    np.subtract(y, x, out=m)
+    np.divide(m, R, out=m)
+    _second_diff_into(z, m, e, ze, t, m)
+    np.subtract(result, m, out=result)
+    np.multiply(R * R / (4.0 * prof.d2_at_sq), result, out=result)
+    return _maybe_scalar(result) if out is None else result
 
 
 def _check_relu_params(params):

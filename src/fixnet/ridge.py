@@ -63,11 +63,13 @@ def build_design_matrix(features, x, warn_out_of_domain=True):
     tree nodes are de-duplicated by their child pair, shared nodes
     (constant and raw-monomial leaves only) are folded once for all
     groups, and per-group nodes are folded level by level for blocks of
-    rows and groups of at most features._BLOCK_ENTRY_BUDGET entries, so
-    memory beyond the (n, J) result stays bounded.  Column j equals
-    eval_feature(x, features[j]) bit for bit.  The returned
-    feature_order is the FeatureSet itself, or the descriptors as a
-    tuple.
+    whole groups and rows of at most features._BLOCK_ENTRY_BUDGET
+    entries, so memory beyond the (n, J) result stays bounded.  Each
+    level makes one in-place f_mult call per child class per block, and
+    each block's columns, contiguous in a FeatureSet, are written by one
+    np.take.  Column j equals eval_feature(x, features[j]) bit for bit.
+    The returned feature_order is the FeatureSet itself, or the
+    descriptors as a tuple.  A (0, d) batch gives a (0, J) matrix.
     """
     if isinstance(features, feat.FeatureSet):
         lead = features  # it carries the family attributes of its features

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fixnet import ridge
-from fixnet.estimators import load_estimator
+from fixnet.estimators import load_estimator, predict
 from fixnet.features import count_features_pp, eval_feature
 from fixnet.cli import block_check_rows, decay_check_rows, main, run_approx_check
 from fixnet.rng import Stream
@@ -120,6 +120,9 @@ def test_fit_exits_2_when_the_coefficient_audit_fails(tmp_path, monkeypatch,
 
 
 def test_predict_empty_input(tmp_path, capsys):
+    # A (0, d) batch gives no predictions, through the library call (whose
+    # design matrix is (0, J)) and through the command, which has no
+    # special case for it.
     train = tmp_path / "train.csv"
     _write_training_csv(train)
     model = tmp_path / "model.json"
@@ -127,6 +130,15 @@ def test_predict_empty_input(tmp_path, capsys):
     assert main(["fit", "--config", config, "--input", str(train),
                  "--output", str(model)]) == 0
     capsys.readouterr()
+    est = load_estimator(str(model))
+    none = np.empty((0, 2))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="scale R is below",
+                                category=RuntimeWarning)
+        design = ridge.build_design_matrix(est.features, none)
+        got = predict(est, none)
+    assert design.values.shape == (0, est.width)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("x1,x2\n")
@@ -350,6 +362,11 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert est.width == J
     assert metrics["features.descriptors"] == 2 * J
     assert metrics["estimators.trials"] == 2
+    # The product entries this fit computes.  A rearranged plan computes
+    # the same products, so the count holds; it reads less if the plan
+    # stops calling through netblocks.f_mult, which is what the
+    # benchmark's product metrics count.
+    assert metrics["netblocks.f_mult_elems"] == 576
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="scale R is below",
                                 category=RuntimeWarning)

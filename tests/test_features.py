@@ -384,12 +384,25 @@ def test_projection_plan_shares_the_monomial_nodes():
     # d=6, N=2: 28 multi-indices over a 4-leaf tree.  Node de-duplication
     # leaves 7 + 28 per-group product blocks per group (84 without it) and
     # 22 shared (one, one) and (monomial, monomial) blocks for the call.
+    # Each level lays its per-group nodes out by child class, (group,
+    # group), (group, shared), (shared, group), one run of nodes each.
+    def classes(plan):
+        return [[((left[0], right[0]), hi - lo) for lo, hi, left, right in level]
+                for level in plan.group_folds]
+
     plan = _compile_tree("line", multi_indices(6, 2), 2)
     assert plan.widths == (1, 7, 28)
     assert [left.size for left, _ in plan.shared_folds] == [22, 0]
     assert sorted(plan.roots.tolist()) == list(range(28))
+    # Every per-group product has exactly one shared child.
+    assert classes(plan) == [[((True, False), 1), ((False, True), 6)],
+                             [((True, False), 7), ((False, True), 21)]]
     cube = _compile_tree("cube", multi_indices(2, 2), 2)
     assert cube.shared_leaves == (("one",),)
+    # Cube monomials are anchor-shifted, so only padding is shared.
+    assert cube.widths == (4, 7, 6)
+    assert classes(cube) == [[((True, True), 6), ((True, False), 1)],
+                             [((True, True), 5), ((True, False), 1)]]
 
 
 @st.composite

@@ -85,6 +85,58 @@ def test_product_block_within_bound(R):
     assert err <= bound_mult(params)
 
 
+def _reference_product(x, y, R):
+    # The product block as one expression of _sigma_second_diff.
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d2 = admissibility_constants().d2_at_sq
+    return (R * R / (4.0 * d2)) * (netblocks._sigma_second_diff(1.0, (x + y) / R)
+                                   - netblocks._sigma_second_diff(1.0, (x - y) / R))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("R", [3.0, 1e3, 1e6, 1e9])
+def test_product_block_is_bitwise_the_reference_expression(R):
+    # eval_feature folds through f_mult as well, so only this reference
+    # sees a change inside the in-place kernel.  R=1e9 is clamped to 1e8.
+    if R > R_SUPPORTED_MAX:
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            params = BlockParams(R=R)
+    else:
+        params = BlockParams(R=R)
+    rng = np.random.default_rng(5)
+    scales = np.array([1e-300, 1e-9, 0.1, 1.0, 3.0, 30.0])[:, None, None]
+    x = rng.normal(size=(6, 1, 5)) * scales
+    y = rng.normal(size=(6, 4, 1)) * scales
+    x[0, 0, :2] = [0.0, -0.0]
+    y[1, :2, 0] = [0.0, -0.0]
+    # Broadcast shapes (r, 1, k) x (r, g, 1).
+    got = f_mult(x, y, params)
+    assert got.shape == (6, 4, 5)
+    assert _same_bits(got, _reference_product(x, y, params.R))
+    # x == y and x == -y cancel to zeros whose signs must survive.
+    values = np.concatenate([np.array([0.0, -0.0, 1e-300, -0.5, 0.7, 2.0]),
+                             rng.normal(size=20)])
+    for other in (values, -values):
+        assert _same_bits(f_mult(values, other, params),
+                          _reference_product(values, other, params.R))
+    # A strided out= slice is filled in place and returned; nothing else
+    # of the buffer is touched.
+    buf = np.full((6, 4, 11), np.nan)
+    view = buf[:, :, 1:10:2]
+    assert f_mult(x, y, params, out=view) is view
+    assert _same_bits(view, _reference_product(x, y, params.R))
+    assert np.isnan(buf[:, :, 0::2]).all()
+    # 0-d scalars give a float.
+    for a, b in ((0.3, -0.7), (0.0, -0.0), (0.25, 0.25), (1.5, -1.5)):
+        got = f_mult(a, b, params)
+        assert isinstance(got, float)
+        assert _same_bits(got, _reference_product(a, b, params.R))
+
+
 def test_product_block_spot_values():
     params = BlockParams(R=1e6, a=1.0)
     assert f_mult(1.0, 1.0, params) == pytest.approx(1.0, abs=1e-4)
