@@ -39,6 +39,11 @@ _FIT_DEFAULTS = {
     "selection": "penalized",
 }
 
+#: Converters of the numeric fit keys; beta may stay null.
+_FIT_NUMBERS = {"r": int, "N": int, "M": int, "R": float, "A": float,
+                "a": float, "penalty": float, "trials": int, "seed": int,
+                "beta": lambda v: None if v is None else float(v)}
+
 #: Fixed directions used by the decay check's projection network.
 _DECAY_DIRECTIONS = ((0.8, 0.6), (-0.35, 0.9))
 
@@ -153,7 +158,10 @@ def _load_config_file(path):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FixnetError(f"{path}: config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise FixnetError(
             f"{path}: config must be a JSON object with \"schema\": 1"
@@ -186,8 +194,14 @@ def _reproducibility_header(title, config, seed):
 
 def cmd_fit(args):
     file_cfg = _load_config_file(args.config)
-    cfg = _resolved_run_config(file_cfg, args, dict(_FIT_DEFAULTS))
-    cfg["seed"] = int(_resolve(file_cfg, args, "seed", 0))
+    cfg = _resolved_run_config(file_cfg, args, {**_FIT_DEFAULTS, "seed": 0})
+    for key, convert in _FIT_NUMBERS.items():
+        try:
+            cfg[key] = convert(cfg[key])
+        except (TypeError, ValueError, OverflowError):
+            raise FixnetError(
+                f"config key {key!r} has an unusable value {cfg[key]!r}"
+            ) from None
     input_path = _resolve(file_cfg, args, "input")
     if input_path is None:
         raise FixnetError("fit requires --input (or \"input\" in the config)")
@@ -204,19 +218,14 @@ def cmd_fit(args):
     data = load_xy_csv(input_path)
     start = time.perf_counter()
     if cfg["estimator"] == "projection":
-        conf = PPConfig(r=int(cfg["r"]), N=int(cfg["N"]), M=int(cfg["M"]),
-                        R=float(cfg["R"]), A=float(cfg["A"]),
-                        penalty=float(cfg["penalty"]),
-                        beta=None if cfg["beta"] is None else float(cfg["beta"]),
-                        trials=int(cfg["trials"]), seed=cfg["seed"],
+        conf = PPConfig(r=cfg["r"], N=cfg["N"], M=cfg["M"], R=cfg["R"],
+                        A=cfg["A"], penalty=cfg["penalty"], beta=cfg["beta"],
+                        trials=cfg["trials"], seed=cfg["seed"],
                         selection=cfg["selection"])
         est = fit_pp(data, conf)
     elif cfg["estimator"] == "smooth":
-        conf = SmoothConfig(N=int(cfg["N"]), M=int(cfg["M"]),
-                            R=float(cfg["R"]), a=float(cfg["a"]),
-                            penalty=float(cfg["penalty"]),
-                            beta=None if cfg["beta"] is None
-                            else float(cfg["beta"]))
+        conf = SmoothConfig(N=cfg["N"], M=cfg["M"], R=cfg["R"], a=cfg["a"],
+                            penalty=cfg["penalty"], beta=cfg["beta"])
         est = fit_smooth(data, conf)
     else:
         raise FixnetError(

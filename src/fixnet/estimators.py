@@ -378,6 +378,11 @@ def _document_int(doc, key, low):
     return value
 
 
+def _is_number(value, kinds=(int, float)):
+    """A JSON number of the given Python types; true and false are not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _document_positive(doc, key):
     value = float(doc[key])
     if not (math.isfinite(value) and value > 0):
@@ -392,8 +397,9 @@ def from_json_dict(doc):
     so the document only stores the enumeration parameters and directions.
     The document is checked before anything is built: d >= 1, N >= 0 and
     M >= 0 are integers; R, domain_half, penalty and beta are positive
-    and finite; every coefficient is finite; and the coefficient count
-    equals the feature count.  A document that fails raises
+    and finite; every coefficient is finite; the coefficient count equals
+    the feature count; selection_trace is null or a list of numbers; and
+    seed is null or an integer.  A document that fails raises
     ParameterError (FeatureCountError for an oversized feature grid).
     """
     if not isinstance(doc, dict) or doc.get("schema") != 1:
@@ -422,6 +428,16 @@ def from_json_dict(doc):
         count = (feat._checked_count("cube", d, n_deg, m_grid)
                  if directions is None else
                  feat._checked_count("line", d, n_deg, m_grid, len(directions)))
+        trace = doc.get("selection_trace")
+        if trace is not None:
+            # A failed trial is written as Infinity, a float too.
+            if not (isinstance(trace, list) and all(map(_is_number, trace))):
+                raise ParameterError(f"selection_trace must be null or a list "
+                                     f"of numbers, got {trace!r}")
+            trace = tuple(trace)
+        seed = doc.get("seed")
+        if not (seed is None or _is_number(seed, int)):
+            raise ParameterError(f"seed must be null or an integer, got {seed!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed estimator document: {exc!r}") from exc
     if not np.all(np.isfinite(coef)):
@@ -437,7 +453,6 @@ def from_json_dict(doc):
         feats = feat.enumerate_features_pp(d, n_deg, m_grid, half, r_scale,
                                            directions)
         directions = tuple(tuple(row) for row in directions)
-    trace = doc.get("selection_trace")
     return FittedEstimator(
         kind=kind,
         d=d,
@@ -451,8 +466,8 @@ def from_json_dict(doc):
         coefficients=coef,
         training_objective=training_objective,
         directions=directions,
-        selection_trace=tuple(trace) if trace is not None else None,
-        seed=doc.get("seed"),
+        selection_trace=trace,
+        seed=seed,
         selection=doc.get("selection"),
     )
 

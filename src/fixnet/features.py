@@ -20,14 +20,14 @@ direction matrix and the multi-index table, the values a saved model
 stores.  Indexing or iterating a FeatureSet builds FeatureDescriptor
 objects, one per feature.  eval_feature evaluates one descriptor by
 folding its own leaves; it is the oracle for eval_features, which
-evaluates a whole design matrix through a plan:
+evaluates every feature of a FeatureSet, the whole design matrix,
+through a plan:
 
 - the template tree of a (kind, d, N) is compiled once over every
   multi-index and cached, since every set of one (kind, d, N) has it;
 - features sharing an anchor and direction form a group; the group of a
   column, its leaf values and its root node follow from the set's arrays
-  by index arithmetic (a plain sequence of descriptors is first mapped
-  onto FeatureSet columns);
+  by index arithmetic;
 - template nodes are de-duplicated by their child pair.  Shared nodes
   (only constant or raw-monomial leaves below) are evaluated once, not
   once per group; per-group nodes (a tent or an anchor-shifted monomial
@@ -38,8 +38,10 @@ evaluates a whole design matrix through a plan:
   A level lays its per-group nodes out by child class (per-group with
   per-group, per-group with shared, shared with per-group), so each class
   is one f_mult call per block, written in place into its run of the
-  level.  A shared child enters as a view broadcast over the groups, a
-  per-group child as a view or one gather of the level below;
+  level.  A block holds a level as a (rows, nodes, groups) array, so the
+  innermost axis of every f_mult ufunc runs over the block's groups.  A
+  shared child enters as a view broadcast along it, a per-group child as
+  a view or one gather of the level below;
 - a group's columns are contiguous in a FeatureSet, so each block is
   written to its rows and columns of the result by one np.take.
 
@@ -53,7 +55,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -568,23 +570,25 @@ def _shared_levels(plan, xb, params):
     return levels
 
 
-def _leaf_sources(fs, plan, groups, xb):
-    """The per-group leaves of the given groups of a FeatureSet.
+def _leaf_sources(fs, plan, xb):
+    """The per-group leaves of a FeatureSet.
 
     Returns (sources, index).  A source (leaf name, input column) stands
     for the named leaf of the column against every anchor of fs.grid: a
     cube leaf has one source per component, and a projection tent one per
-    direction, on its own product xb @ direction.  index maps (position
-    in groups, per-group leaf) to a column of the source values laid side
-    by side.
+    row of fs.directions, on its own product xb @ direction.  index maps
+    (group, per-group leaf) to a column of the source values laid side by
+    side.
     """
     m1 = fs.M + 1
-    index = np.empty((groups.size, len(plan.group_leaves)), dtype=np.intp)
+    groups = np.arange(len(fs) // len(fs.multi_index_table))
     if fs.kind == "line":
-        # The only per-group leaf of a projection tree is its tent.
-        lines, position = np.unique(groups // m1, return_inverse=True)
-        index[:, 0] = position * m1 + groups % m1
-        return [("tent", xb @ np.array(fs.directions[l])) for l in lines], index
+        # The only per-group leaf of a projection tree is its tent, and
+        # group g is direction g // m1 at anchor g % m1: column g of the
+        # sources laid side by side.
+        return ([("tent", xb @ np.array(b)) for b in fs.directions],
+                groups[:, None])
+    index = np.empty((groups.size, len(plan.group_leaves)), dtype=np.intp)
     sources = []
     for p, (name, comp) in enumerate(plan.group_leaves):
         sources.append((name, xb[:, comp]))
@@ -616,29 +620,27 @@ def _class_operand(side, values, picked):
     return np.take(source, index, axis=1)
 
 
-def _eval_groups(fs, groups, xb, out):
-    """Write every column of the given groups of the FeatureSet fs into
-    out, group i of groups to the contiguous columns i*K .. i*K + K - 1
-    (K multi-indices), block by block of whole groups and rows.
+def eval_features(fs, xb):
+    """Evaluate every feature of the FeatureSet fs on an (n, d) batch xb.
 
-    A block holds the values of a tree level as a (rows, nodes, groups)
-    array, so the innermost axis of every f_mult ufunc runs over the
-    block's groups, the shared children broadcast along it, and a class's
-    run of nodes is one contiguous stretch per row.
+    Returns an (n, len(fs)) array whose column j equals
+    eval_feature(xb, fs[j]) bit for bit.  The module docstring describes
+    the plan that computes it.
     """
     plan = _tree_plan(fs.kind, fs.d, fs.degree_cap)
     params = netblocks.BlockParams(R=fs.R)
     K = len(fs.multi_index_table)
-    n = xb.shape[0]
+    n, groups = xb.shape[0], len(fs) // K
+    out = np.empty((n, len(fs)))
     widest = max(plan.widths)
-    groups_per_block = max(1, min(groups.size, _BLOCK_ENTRY_BUDGET // widest))
+    groups_per_block = max(1, min(groups, _BLOCK_ENTRY_BUDGET // widest))
     rows_per_block = max(1, _BLOCK_ENTRY_BUDGET // (groups_per_block * widest))
-    sources, leaf_index = _leaf_sources(fs, plan, groups, xb)
+    sources, leaf_index = _leaf_sources(fs, plan, xb)
     picked = [np.take(level, picks, axis=1)[:, :, None] for level, picks
               in zip(_shared_levels(plan, xb, params), plan.shared_picks)]
     table = _leaf_table(sources, fs, params)
-    for start in range(0, groups.size, groups_per_block):
-        stop = min(start + groups_per_block, groups.size)
+    for start in range(0, groups, groups_per_block):
+        stop = min(start + groups_per_block, groups)
         # Column g*K + k of the block takes root k of its group g.
         roots = (plan.roots * (stop - start)
                  + np.arange(stop - start)[:, None]).ravel()
@@ -658,76 +660,6 @@ def _eval_groups(fs, groups, xb, out):
             # in range.
             np.take(values.reshape(values.shape[0], -1), roots, axis=1,
                     out=out[rows, start * K:stop * K], mode="clip")
-
-
-def _column_sets(features):
-    """(FeatureSet, its columns, output columns) triples covering a
-    sequence of descriptors.
-
-    The descriptors are split into families with one set of enumeration
-    parameters, and each family becomes columns of one FeatureSet over
-    the family's distinct direction vectors; a descriptor that is not the
-    feature at its position in that set raises ParameterError.
-    """
-    families = {}
-    for c, f in enumerate(features):
-        key = (f.kind, f.d, f.degree_cap, f.M, f.half_width, f.R, f.amplitude)
-        families.setdefault(key, []).append(c)
-    triples = []
-    for (kind, d, N, M, half, R, A), out_columns in families.items():
-        members = [features[c] for c in out_columns]
-        lines = (list(dict.fromkeys(f.direction for f in members))
-                 if kind == "line" else None)
-        fs = FeatureSet(kind, d, N, M, half, R, A, lines)
-        rank = {j: k for k, j in enumerate(multi_indices(d, N))}
-        line_of = {b: l for l, b in enumerate(lines or ())}
-        columns = []
-        for f in members:
-            if kind == "cube":
-                g = np.ravel_multi_index(f.anchor_index, (M + 1,) * d)
-            else:
-                g = line_of[f.direction] * (M + 1) + f.anchor_index
-            c = int(g) * len(rank) + rank.get(f.multi_index, len(rank))
-            if c >= len(fs) or replace(fs[c], direction_index=f.direction_index) != f:
-                raise ParameterError(f"{f} is not a feature of its enumeration")
-            columns.append(c)
-        triples.append((fs, np.array(columns, dtype=np.intp),
-                        np.array(out_columns, dtype=np.intp)))
-    return triples
-
-
-def eval_features(features, xb):
-    """Evaluate many features on an (n, d) batch; returns an (n, J) array.
-
-    features is a FeatureSet or a sequence of FeatureDescriptors.  The
-    product tree of a (kind, d, N) is compiled once into a cached
-    _TreePlan; the group of a column, its leaf sources and its root node
-    follow from the set's arrays by index arithmetic.  Each distinct leaf
-    is evaluated once and shared tree nodes once for all groups.
-    Per-group nodes are folded for blocks of whole groups and rows, a
-    block holding at most _BLOCK_ENTRY_BUDGET entries at its widest
-    level, with one f_mult call per child class per level; a shared child
-    enters as a view broadcast over the groups, and each block's columns,
-    contiguous in a FeatureSet, are written by one np.take.  A sequence
-    of descriptors is mapped onto FeatureSet columns (see _column_sets);
-    the whole groups holding them are evaluated into a dense array, from
-    which the columns are copied in list order.
-    Every value goes through the same elementwise block recurrences as in
-    eval_feature, so column j equals eval_feature(xb, features[j]) bit
-    for bit.
-    """
-    n = xb.shape[0]
-    out = np.empty((n, len(features)))
-    if isinstance(features, FeatureSet):
-        K = len(features.multi_index_table)
-        _eval_groups(features, np.arange(len(features) // K), xb, out)
-        return out
-    for fs, columns, out_columns in _column_sets(features):
-        K = len(fs.multi_index_table)
-        groups, position = np.unique(columns // K, return_inverse=True)
-        dense = np.empty((n, groups.size * K))
-        _eval_groups(fs, groups, xb, dense)
-        out[:, out_columns] = dense[:, position * K + columns % K]
     return out
 
 

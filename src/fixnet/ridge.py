@@ -35,13 +35,12 @@ class DesignMatrix:
     """Feature evaluations for a batch of inputs.
 
     values has shape (n, J) with column j holding feature j evaluated at
-    every row of the input batch; feature_order holds the features in
-    column order (the FeatureSet that was evaluated, or a tuple of
-    descriptors) so coefficients can be matched back to features.
+    every row of the input batch; feature_order is the FeatureSet that
+    was evaluated, so coefficients can be matched back to features.
     """
 
     values: np.ndarray
-    feature_order: feat.FeatureSet | tuple
+    feature_order: feat.FeatureSet
 
     @property
     def n(self):
@@ -53,34 +52,17 @@ class DesignMatrix:
 
 
 def build_design_matrix(features, x, warn_out_of_domain=True):
-    """Evaluate every feature on a batch of inputs.
+    """Evaluate every feature of a FeatureSet on a batch of inputs.
 
-    features is a FeatureSet (what enumerate_features_* return) or a
-    sequence of FeatureDescriptors.  After the checks below, the matrix
-    comes from features.eval_features: the product tree of the features'
-    (kind, d, N) is compiled once and cached, each column's group, leaves
-    and root node follow from the FeatureSet arrays by index arithmetic,
-    tree nodes are de-duplicated by their child pair, shared nodes
-    (constant and raw-monomial leaves only) are folded once for all
-    groups, and per-group nodes are folded level by level for blocks of
-    whole groups and rows of at most features._BLOCK_ENTRY_BUDGET
-    entries, so memory beyond the (n, J) result stays bounded.  Each
-    level makes one in-place f_mult call per child class per block, and
-    each block's columns, contiguous in a FeatureSet, are written by one
-    np.take.  Column j equals eval_feature(x, features[j]) bit for bit.
-    The returned feature_order is the FeatureSet itself, or the
-    descriptors as a tuple.  A (0, d) batch gives a (0, J) matrix.
+    features is a FeatureSet (what enumerate_features_* return) and x an
+    (n, d) batch or a (d,) point.  After the checks below, the (n, J)
+    values come from features.eval_features, whose column j equals
+    eval_feature(x, features[j]) bit for bit; the features module
+    docstring describes the plan.  A (0, d) batch gives a (0, J) matrix.
     """
-    if isinstance(features, feat.FeatureSet):
-        lead = features  # it carries the family attributes of its features
-    else:
-        features = tuple(features)
-        if not features:
-            raise ParameterError("need at least one feature")
-        lead = features[0]
-        if any(f.d != lead.d for f in features):
-            raise ParameterError("features disagree on input dimension")
-    d = lead.d
+    if not isinstance(features, feat.FeatureSet):
+        raise ParameterError("features must be a FeatureSet")
+    d = features.d
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     if xb.ndim != 2 or xb.shape[1] != d:
         raise ParameterError(f"input batch must have shape (n, {d})")
@@ -88,7 +70,8 @@ def build_design_matrix(features, x, warn_out_of_domain=True):
         raise ParameterError("input batch contains non-finite values")
 
     if warn_out_of_domain:
-        half = lead.half_width if lead.kind == "cube" else lead.amplitude
+        half = (features.half_width if features.kind == "cube"
+                else features.amplitude)
         if np.any(np.abs(xb) > half + 1e-12):
             warnings.warn(
                 "design-matrix inputs fall outside the approximation cube",
@@ -96,7 +79,7 @@ def build_design_matrix(features, x, warn_out_of_domain=True):
                 stacklevel=2,
             )
 
-    feat._warn_if_low_R(lead)
+    feat._warn_if_low_R(features)
     return DesignMatrix(values=feat.eval_features(features, xb),
                         feature_order=features)
 

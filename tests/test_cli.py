@@ -173,6 +173,8 @@ def test_predict_dimension_mismatch(tmp_path, capsys):
     ({"beta": "nan"}, "beta must be positive"),
     ({"coefficients": ["nan"]}, "coefficients must be finite"),
     ({"M": 2000, "coefficients": ["1"]}, "does not match feature count"),
+    ({"selection_trace": 5}, "selection_trace must be null or a list"),
+    ({"seed": "x"}, "seed must be null or an integer"),
 ])
 def test_predict_rejects_invalid_model_documents(tmp_path, capsys, edit, message):
     train = tmp_path / "train.csv"
@@ -242,6 +244,34 @@ def test_config_schema_is_validated(tmp_path, capsys):
     bad.write_text(json.dumps({"schema": 2}))
     assert main(["fit", "--config", str(bad), "--input", "x.csv"]) == 2
     assert "schema" in capsys.readouterr().err
+
+
+def test_config_that_is_not_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "c.json"
+    bad.write_text("{not json")
+    assert main(["fit", "--config", str(bad), "--input", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"r": "abc"}, "'r'"),
+    ({"seed": "x"}, "'seed'"),
+    ({"M": None}, "'M'"),
+    ({"beta": [1.0]}, "'beta'"),
+    ({"trials": 1e400}, "'trials'"),
+    ({"estimator": "smooth", "a": "wide"}, "'a'"),
+])
+def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, key):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    config = _write_config(tmp_path / "fit.json", {**FAST_FIT, **edit})
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"config key {key}" in err
+    assert not model.exists()
 
 
 def test_missing_input_is_reported(tmp_path, capsys):

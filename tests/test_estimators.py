@@ -275,6 +275,12 @@ def test_deserialization_rejects_malformed_documents(tmp_path):
     ("beta", None, "malformed"),
     ("directions", [["x", "0"]], "malformed"),
     ("directions", [["nan", "0"]], "must lie in"),
+    ("selection_trace", 5, "selection_trace must be null or a list"),
+    ("selection_trace", "0.5", "selection_trace must be null or a list"),
+    ("selection_trace", [0.5, "x"], "selection_trace must be null or a list"),
+    ("selection_trace", [True], "selection_trace must be null or a list"),
+    ("seed", "x", "seed must be null or an integer"),
+    ("seed", 1.5, "seed must be null or an integer"),
 ])
 def test_deserialization_rejects_out_of_range_fields(field, value, match):
     data = _toy_data(30, seed=17)
@@ -284,6 +290,17 @@ def test_deserialization_rejects_out_of_range_fields(field, value, match):
         value = value + doc["directions"][1:]
     with pytest.raises(ParameterError, match=match):
         from_json_dict({**doc, field: value})
+
+
+def test_deserialization_keeps_infinite_trial_scores():
+    # A failed trial is saved with score Infinity, which must load back.
+    data = _toy_data(30, seed=17)
+    with _quiet():
+        doc = to_json_dict(fit_pp(data, PP_SMALL))
+    text = json.dumps({**doc, "selection_trace": [0.5, math.inf, 2], "seed": None})
+    loaded = from_json_dict(json.loads(text))
+    assert loaded.selection_trace == (0.5, math.inf, 2)
+    assert loaded.seed is None
 
 
 def test_deserialization_rejects_non_finite_coefficients():

@@ -2,7 +2,6 @@
 approximant, and the architecture audit."""
 
 import contextlib
-import dataclasses
 import itertools
 import math
 import warnings
@@ -406,37 +405,32 @@ def test_projection_plan_shares_the_monomial_nodes():
 
 
 @st.composite
-def _feature_lists(draw):
+def _feature_sets(draw):
     kind = draw(st.sampled_from(["cube", "line"]))
     d = draw(st.integers(1, 3 if kind == "cube" else 4))
     N = draw(st.integers(0, 3))
     M = draw(st.integers(0, 3 if kind == "cube" else 5))
     R = 10.0 ** draw(st.floats(1.0, 8.0))
     if kind == "cube":
-        feats = enumerate_features_cube(d, N, M, 1.0, R)
-    else:
-        r = draw(st.integers(1, 3))
-        entries = st.floats(-1.0, 1.0, allow_nan=False)
-        directions = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
-                                            min_size=r, max_size=r)))
-        feats = enumerate_features_pp(d, N, M, 1.0, R, directions)
+        return enumerate_features_cube(d, N, M, 1.0, R)
+    r = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    directions = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                        min_size=r, max_size=r)))
     if draw(st.booleans()):
-        return feats
-    order = draw(st.permutations(range(len(feats))))
-    start = draw(st.integers(0, len(feats) - 1))
-    step = draw(st.integers(1, 3))
-    return [feats[i] for i in order[start::step]]
+        # Every direction twice: groups whose columns are equal, each
+        # still evaluated from its own row of the direction matrix.
+        directions = np.repeat(directions, 2, axis=0)
+    return enumerate_features_pp(d, N, M, 1.0, R, directions)
 
 
 @settings(max_examples=60, deadline=None)
-@given(feats=_feature_lists(), n=st.integers(1, 40), point=st.booleans(),
+@given(feats=_feature_sets(), n=st.integers(1, 40), point=st.booleans(),
        seed=st.integers(0, 2**16), budget=st.sampled_from([1, 5, 64, 2**14]))
 def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
                                                             seed, budget):
-    # feats is a whole FeatureSet or a permuted, sliced list of its
-    # descriptors.  Small entry budgets split the plan into many row and
-    # group blocks.
-    d = feats[0].d
+    # Small entry budgets split the plan into many row and group blocks.
+    d = feats.d
     x = Stream(seed).uniform_matrix(n, d, low=-1.2, high=1.2)
     if point:
         x = x[0]
@@ -447,46 +441,3 @@ def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
             want = eval_feature(x, f)
             got = design.values[0, j] if point else design.values[:, j]
             assert _bitwise_equal(got, want), (j, f)
-
-
-def test_design_matrix_handles_uneven_groups():
-    # A repeated direction merges two groups into one (that may hold a
-    # multi-index twice), and slicing leaves the other group with fewer
-    # multi-indices than the template tree has roots.
-    directions = np.array([[0.5, -0.5], [0.5, -0.5], [0.0, 1.0]])
-    x = Stream(7).uniform_matrix(5, 2, low=-1.0, high=1.0)
-    with _silence_low_r():
-        line = enumerate_features_pp(2, 1, 0, 1.0, 10.0, directions)
-        for picks in ([0, 5, 6], [0, 5, 3, 6]):
-            feats = [line[i] for i in picks]
-            for budget in (1, 2**14):
-                with mock.patch.object(features, "_BLOCK_ENTRY_BUDGET", budget):
-                    design = build_design_matrix(feats, x, warn_out_of_domain=False)
-                for j, f in enumerate(feats):
-                    assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), \
-                        (picks, budget, j)
-
-
-def test_design_matrix_mixes_feature_families():
-    # Features of different kinds, scales and degree caps in one list each
-    # get their own plan, and the columns keep the list order.  The two
-    # cube lists differ only in the degree cap, hence in the tree depth.
-    x = Stream(6).uniform_matrix(9, 2, low=-1.0, high=1.0)
-    with _silence_low_r():
-        feats = (enumerate_features_cube(2, 1, 2, 1.0, 1e5)[::4]
-                 + enumerate_features_pp(2, 2, 3, 1.0, 1e6, DIRECTIONS)[::5]
-                 + enumerate_features_cube(2, 3, 2, 1.0, 1e5)[::3])
-        design = build_design_matrix(feats, x, warn_out_of_domain=False)
-        for j, f in enumerate(feats):
-            assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j
-
-
-def test_design_matrix_refuses_descriptors_off_their_grid():
-    # A descriptor list is evaluated as columns of FeatureSets rebuilt from
-    # the descriptors' parameters, so one whose anchor is not the grid
-    # value at its anchor index cannot be evaluated that way.
-    feats = list(enumerate_features_pp(2, 1, 2, 1.0, 1e5, DIRECTIONS))
-    feats[3] = dataclasses.replace(feats[3], anchor=feats[3].anchor + 1e-3)
-    with _silence_low_r(), pytest.raises(ParameterError,
-                                         match="not a feature of its enumeration"):
-        build_design_matrix(feats, np.zeros((2, 2)), warn_out_of_domain=False)

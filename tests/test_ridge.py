@@ -84,6 +84,8 @@ def test_design_matrix_guards():
     with pytest.raises(ParameterError):
         build_design_matrix([], x)
     feats = enumerate_features_cube(2, 1, 1, 1.0, 1e5)
+    with pytest.raises(ParameterError, match="FeatureSet"):
+        build_design_matrix(list(feats), x)
     with pytest.raises(ParameterError):
         build_design_matrix(feats, np.zeros((4, 3)))
     bad = x.copy()
