@@ -1,7 +1,13 @@
 """Command-line interface: fit, predict, bench, rate, approx-check.
 
-Configuration can come from a JSON file (schema 1, field names matching
-the documented config keys) with command-line flags taking precedence.
+Configuration can come from a JSON file (schema 1) with command-line
+flags taking precedence.  The keys of fit, bench and rate are the field
+names of the command's config class (PPConfig or SmoothConfig,
+BenchConfig, RateConfig).  A value takes the kind of its field's
+default: int or float, a string, a JSON list of those for a tuple, and
+a float or null where the default is None; a value that does not
+convert exits 2.
+
 Every output file starts with comment lines echoing the resolved
 configuration and master seed, so a report can be reproduced from the
 file alone.
@@ -10,6 +16,7 @@ file alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,25 +31,6 @@ from .data import load_x_csv, load_xy_csv
 from .errors import FixnetError
 from .estimators import (PPConfig, SmoothConfig, fit_pp, fit_smooth,
                          load_estimator, predict, save_estimator)
-
-_FIT_DEFAULTS = {
-    "estimator": "projection",
-    "r": 4,
-    "N": 2,
-    "M": 8,
-    "R": 1e6,
-    "A": 1.0,
-    "a": 1.0,
-    "penalty": 1.0,
-    "beta": None,
-    "trials": 50,
-    "selection": "penalized",
-}
-
-#: Converters of the numeric fit keys; beta may stay null.
-_FIT_NUMBERS = {"r": int, "N": int, "M": int, "R": float, "A": float,
-                "a": float, "penalty": float, "trials": int, "seed": int,
-                "beta": lambda v: None if v is None else float(v)}
 
 #: Fixed directions used by the decay check's projection network.
 _DECAY_DIRECTIONS = ((0.8, 0.6), (-0.35, 0.9))
@@ -176,8 +164,48 @@ def _resolve(file_cfg, args, key, default=None):
     return file_cfg.get(key, default)
 
 
-def _resolved_run_config(file_cfg, args, keys_defaults):
-    return {k: _resolve(file_cfg, args, k, v) for k, v in keys_defaults.items()}
+def _converted(default, value):
+    """value in the kind of a config field's default (module docstring)."""
+    if default is None:
+        return None if value is None else float(value)
+    if isinstance(default, str) and isinstance(value, str):
+        return value
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_converted(default[0], v) for v in value)
+    if isinstance(default, (str, tuple)):
+        raise TypeError(value)
+    return type(default)(value)
+
+
+def _config_values(cls, file_cfg, args):
+    """Keyword arguments of the config class cls, one per field given."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        key = field.name
+        if getattr(args, key, None) is None and key not in file_cfg:
+            continue
+        value = _resolve(file_cfg, args, key)
+        try:
+            if key != "trial_overrides":
+                values[key] = _converted(field.default, value)
+            elif not isinstance(value, list):
+                raise TypeError(value)
+            else:  # [{"target": ..., "noise": ..., "trials": ...}, ...]
+                values[key] = tuple(
+                    ((_converted("", item["target"]), float(item["noise"])),
+                     int(item["trials"])) for item in value)
+        except (TypeError, ValueError, OverflowError, KeyError):
+            raise FixnetError(
+                f"config key {key!r} has an unusable value {value!r}"
+            ) from None
+    return values
+
+
+def _quick(file_cfg, args):
+    quick = file_cfg.get("quick", False)
+    if not isinstance(quick, bool):
+        raise FixnetError(f"config key 'quick' has an unusable value {quick!r}")
+    return args.quick or quick
 
 
 def _reproducibility_header(title, config, seed):
@@ -194,14 +222,15 @@ def _reproducibility_header(title, config, seed):
 
 def cmd_fit(args):
     file_cfg = _load_config_file(args.config)
-    cfg = _resolved_run_config(file_cfg, args, {**_FIT_DEFAULTS, "seed": 0})
-    for key, convert in _FIT_NUMBERS.items():
-        try:
-            cfg[key] = convert(cfg[key])
-        except (TypeError, ValueError, OverflowError):
-            raise FixnetError(
-                f"config key {key!r} has an unusable value {cfg[key]!r}"
-            ) from None
+    estimator = _resolve(file_cfg, args, "estimator", "projection")
+    if estimator == "projection":
+        config_cls, fit = PPConfig, fit_pp
+    elif estimator == "smooth":
+        config_cls, fit = SmoothConfig, fit_smooth
+    else:
+        raise FixnetError(f"unknown estimator {estimator!r}; "
+                          "use \"projection\" or \"smooth\"")
+    config = config_cls(**_config_values(config_cls, file_cfg, args))
     input_path = _resolve(file_cfg, args, "input")
     if input_path is None:
         raise FixnetError("fit requires --input (or \"input\" in the config)")
@@ -217,21 +246,7 @@ def cmd_fit(args):
 
     data = load_xy_csv(input_path)
     start = time.perf_counter()
-    if cfg["estimator"] == "projection":
-        conf = PPConfig(r=cfg["r"], N=cfg["N"], M=cfg["M"], R=cfg["R"],
-                        A=cfg["A"], penalty=cfg["penalty"], beta=cfg["beta"],
-                        trials=cfg["trials"], seed=cfg["seed"],
-                        selection=cfg["selection"])
-        est = fit_pp(data, conf)
-    elif cfg["estimator"] == "smooth":
-        conf = SmoothConfig(N=cfg["N"], M=cfg["M"], R=cfg["R"], a=cfg["a"],
-                            penalty=cfg["penalty"], beta=cfg["beta"])
-        est = fit_smooth(data, conf)
-    else:
-        raise FixnetError(
-            f"unknown estimator {cfg['estimator']!r}; "
-            "use \"projection\" or \"smooth\""
-        )
+    est = fit(data, config)
     wall = time.perf_counter() - start
 
     save_estimator(est, output_path)
@@ -270,32 +285,12 @@ def cmd_predict(args):
     return 0
 
 
-_BENCH_KEYS = ("targets", "noises", "methods", "n", "eval_n", "reps",
-               "trials", "ref_realizations", "direction_count", "degree_cap",
-               "domain_half", "scale", "penalty", "proj_m_grid",
-               "smooth_m_grid", "smooth_feature_cap")
-
-
 def cmd_bench(args):
     file_cfg = _load_config_file(args.config)
-    seed = int(_resolve(file_cfg, args, "seed", 0))
-    quick = bool(args.quick or file_cfg.get("quick", False))
     out_dir = _resolve(file_cfg, args, "output", ".")
-
-    overrides = {}
-    for key in _BENCH_KEYS:
-        if key in file_cfg:
-            value = file_cfg[key]
-            overrides[key] = tuple(value) if isinstance(value, list) else value
-    if "trial_overrides" in file_cfg:
-        overrides["trial_overrides"] = tuple(
-            ((item["target"], float(item["noise"])), int(item["trials"]))
-            for item in file_cfg["trial_overrides"]
-        )
-    if quick:
-        config = simbench.BenchConfig.quick(seed=seed, **overrides)
-    else:
-        config = simbench.BenchConfig(seed=seed, **overrides)
+    cls = simbench.BenchConfig
+    make = cls.quick if _quick(file_cfg, args) else cls
+    config = make(**_config_values(cls, file_cfg, args))
 
     report = simbench.run_benchmark(config)
     os.makedirs(out_dir, exist_ok=True)
@@ -318,22 +313,11 @@ def cmd_bench(args):
     return 0
 
 
-_RATE_KEYS = ("sample_sizes", "seeds", "noise_sd", "direction", "trials",
-              "m_grid", "direction_count", "degree_cap", "domain_half",
-              "scale", "penalty", "eval_n")
-
-
 def cmd_rate(args):
     file_cfg = _load_config_file(args.config)
-    seed = int(_resolve(file_cfg, args, "seed", 0))
     out_dir = _resolve(file_cfg, args, "output", ".")
-
-    overrides = {}
-    for key in _RATE_KEYS:
-        if key in file_cfg:
-            value = file_cfg[key]
-            overrides[key] = tuple(value) if isinstance(value, list) else value
-    config = simbench.RateConfig(seed=seed, **overrides)
+    config = simbench.RateConfig(**_config_values(simbench.RateConfig,
+                                                  file_cfg, args))
     result = simbench.rate_experiment(config)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -353,7 +337,7 @@ def cmd_rate(args):
 def cmd_approx_check(args):
     file_cfg = _load_config_file(args.config)
     out_path = _resolve(file_cfg, args, "output")
-    quick = bool(args.quick or file_cfg.get("quick", False))
+    quick = _quick(file_cfg, args)
     rows, ok = run_approx_check(full=not quick)
 
     width = max(len(r["check"]) for r in rows)
@@ -420,10 +404,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except FixnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FixnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,17 +33,36 @@ def _default_beta(scale, n):
     return scale * max(1.0, math.log(n))
 
 
+def _theory_degree_cap(n, smoothness, N):
+    """Check n and p; N defaults to floor(p), and a smaller N warns."""
+    if n < 2:
+        raise ParameterError("need at least two observations")
+    if not smoothness > 0:
+        raise ParameterError("smoothness must be positive")
+    q = int(math.floor(smoothness))
+    if N is None:
+        return q
+    if N < q:
+        warnings.warn(
+            "degree cap below the integer part of the smoothness; "
+            "the approximation guarantee needs N >= floor(p)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return N
+
+
 @dataclass(frozen=True)
 class SmoothConfig:
     """Parameters of the anchor-grid estimator.
 
     beta is the prediction truncation level; None defers to 10 log n at
-    fit time.
+    fit time.  The defaults are those of ``fixnet fit``.
     """
 
-    N: int
-    M: int
-    R: float
+    N: int = 2
+    M: int = 8
+    R: float = 1e6
     a: float = 1.0
     penalty: float = 1.0
     beta: Optional[float] = None
@@ -69,20 +88,7 @@ class SmoothConfig:
         smoothness is p = q + s with q = floor(p); the feature degree cap
         should satisfy N >= q, which is warned about rather than enforced.
         """
-        if n < 2:
-            raise ParameterError("need at least two observations")
-        if not smoothness > 0:
-            raise ParameterError("smoothness must be positive")
-        q = int(math.floor(smoothness))
-        if N is None:
-            N = q
-        if N < q:
-            warnings.warn(
-                "degree cap below the integer part of the smoothness; "
-                "the approximation guarantee needs N >= floor(p)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        N = _theory_degree_cap(n, smoothness, N)
         M = int(math.ceil(grid_scale * n ** (1.0 / (2.0 * smoothness + d))))
         R = netblocks.clamp_scale(float(n) ** (d + 4))
         a = math.log(n) ** (1.0 / (6.0 * (N + d)))
@@ -96,12 +102,13 @@ class PPConfig:
 
     trials is the number of random direction draws; selection picks the
     winner by the penalized objective or by the bare empirical risk.
+    The defaults are those of ``fixnet fit``.
     """
 
-    r: int
-    N: int
-    M: int
-    R: float
+    r: int = 4
+    N: int = 2
+    M: int = 8
+    R: float = 1e6
     A: float = 1.0
     penalty: float = 1.0
     beta: Optional[float] = None
@@ -133,20 +140,7 @@ class PPConfig:
                          trial_scale=1.0, grid_scale=1.0,
                          truncation_scale=10.0, seed=0):
         """Resolve the theory-driven parameter choices from (n, d, r, p)."""
-        if n < 2:
-            raise ParameterError("need at least two observations")
-        if not smoothness > 0:
-            raise ParameterError("smoothness must be positive")
-        q = int(math.floor(smoothness))
-        if N is None:
-            N = q
-        if N < q:
-            warnings.warn(
-                "degree cap below the integer part of the smoothness; "
-                "the approximation guarantee needs N >= floor(p)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        N = _theory_degree_cap(n, smoothness, N)
         trials = int(math.ceil(
             trial_scale * math.log(n) ** 2 * n ** (r * d / (2.0 * smoothness + 1.0))
         ))

@@ -244,10 +244,10 @@ class BenchConfig:
     smooth_feature_cap: int = 4000
 
     @classmethod
-    def quick(cls, seed=0, **overrides):
+    def quick(cls, **overrides):
         """Reduced protocol: two targets, one noise level, 10 reps, 50 trials."""
         base = dict(targets=("m2", "m4"), noises=(0.05,), reps=10,
-                    trials=50, trial_overrides=(), seed=seed)
+                    trials=50, trial_overrides=())
         base.update(overrides)
         return cls(**base)
 

@@ -274,6 +274,50 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
     assert not model.exists()
 
 
+def test_smooth_fit_reads_only_its_own_keys(tmp_path, capsys):
+    # Projection-only keys are not fields of SmoothConfig, so a smooth fit
+    # ignores them, as bench and rate ignore keys they do not read.
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    config = _write_config(tmp_path / "fit.json", {
+        "estimator": "smooth", "N": 1, "M": 2, "r": "x", "trials": None,
+        "selection": 5})
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)]) == 0
+    assert load_estimator(str(model)).kind == "smooth"
+
+
+MINI_CONFIGS = {
+    "bench": {"targets": ["m2"], "noises": [0.05], "methods": ["constant"],
+              "n": 25, "eval_n": 100, "reps": 2, "ref_realizations": 2},
+    "rate": {"sample_sizes": [20, 30, 40, 50], "seeds": 1, "trials": 2,
+             "m_grid": [2], "eval_n": 50},
+    "approx-check": {},
+}
+
+
+@pytest.mark.parametrize("command, edit, key", [
+    ("bench", {"reps": "x"}, "reps"),
+    ("rate", {"seeds": "x"}, "seeds"),
+    ("bench", {"trial_overrides": [5]}, "trial_overrides"),
+    ("bench", {"trial_overrides": [{"target": "m1"}]}, "trial_overrides"),
+    ("bench", {"seed": "x"}, "seed"),
+    ("bench", {"targets": "m2"}, "targets"),
+    ("bench", {"quick": "false"}, "quick"),
+    ("approx-check", {"quick": "false"}, "quick"),
+])
+def test_command_config_values_that_do_not_convert_exit_2(
+        tmp_path, capsys, command, edit, key):
+    config = _write_config(tmp_path / "c.json",
+                           {**MINI_CONFIGS[command], **edit})
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"config key '{key}'" in err
+    assert not out.exists()
+
+
 def test_missing_input_is_reported(tmp_path, capsys):
     assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -82,6 +82,24 @@ def test_pp_config_from_sample_size():
     assert cfg.r == 1
 
 
+def test_configs_default_to_the_documented_fit_defaults():
+    pp, smooth = PPConfig(), SmoothConfig()
+    assert (pp.r, pp.N, pp.M, pp.R, pp.A, pp.penalty, pp.beta, pp.trials,
+            pp.seed, pp.selection) == (4, 2, 8, 1e6, 1.0, 1.0, None, 50, 0,
+                                       "penalized")
+    assert (smooth.N, smooth.M, smooth.R, smooth.a, smooth.penalty,
+            smooth.beta) == (2, 8, 1e6, 1.0, 1.0, None)
+
+
+def test_degree_cap_warning_points_at_the_caller():
+    for make in (lambda: SmoothConfig.from_sample_size(10, 2, 2.5, N=1),
+                 lambda: PPConfig.from_sample_size(10, 2, 1, 2.5, N=1)):
+        with pytest.warns(RuntimeWarning, match="degree cap below") as record:
+            make()
+        caps = [w for w in record if "degree cap" in str(w.message)]
+        assert [w.filename for w in caps] == [__file__]
+
+
 def test_pp_config_validation():
     with pytest.raises(ParameterError):
         PPConfig(r=0, N=1, M=2, R=1e5)
