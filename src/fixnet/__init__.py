@@ -10,7 +10,7 @@ baselines, and a reproducible simulation benchmark.
 from .activation import ActivationProfile, admissibility_constants, sigma, sigma_derivative
 from .netblocks import (BlockParams, R_SUPPORTED_MAX, bound_hat, bound_id,
                      bound_mult, bound_relu, bound_sq, clamp_scale, exact_hat,
-                     f_hat, f_hat_bar, f_id, f_mult, f_relu, f_sq)
+                     f_hat, f_id, f_mult, f_relu, f_sq)
 from .data import CsvFormatError, Dataset, load_x_csv, load_xy_csv
 from .errors import (EstimatorError, FeatureCountError, FixnetError,
                      ParameterError, SolverError)
@@ -19,12 +19,12 @@ from .estimators import (FittedEstimator, PPConfig, SmoothConfig,
                          load_estimator, predict, sample_directions,
                          save_estimator)
 from .features import (FeatureDescriptor, FeatureSet, architecture_summary,
-                       approx_error_scale, count_features_cube,
-                       count_features_pp, enumerate_features_cube,
-                       enumerate_features_pp, eval_exact_target_cube,
-                       eval_exact_target_pp, eval_f_net, eval_f_net_pp,
-                       eval_feature, multi_indices, partition_of_unity_check,
-                       scale_lower_bound, taylor_patch_P)
+                       count_features_cube, count_features_pp,
+                       enumerate_features_cube, enumerate_features_pp,
+                       eval_exact_target_cube, eval_exact_target_pp,
+                       eval_f_net, eval_f_net_pp, eval_feature, multi_indices,
+                       partition_of_unity_check, scale_lower_bound,
+                       taylor_patch_P)
 from .ridge import (DesignMatrix, RidgeSolution, build_design_matrix,
                     coefficient_bound_audit, objective_value, ridge_solve)
 from .rng import Stream, mix64, normal_icdf
@@ -40,7 +40,7 @@ __all__ = [
     "ActivationProfile", "admissibility_constants", "sigma",
     "sigma_derivative",
     "BlockParams", "R_SUPPORTED_MAX", "clamp_scale", "exact_hat",
-    "f_id", "f_sq", "f_mult", "f_relu", "f_hat", "f_hat_bar",
+    "f_id", "f_sq", "f_mult", "f_relu", "f_hat",
     "bound_id", "bound_sq", "bound_mult", "bound_relu", "bound_hat",
     "CsvFormatError", "Dataset", "load_x_csv", "load_xy_csv",
     "FixnetError", "ParameterError", "FeatureCountError", "SolverError",
@@ -48,7 +48,7 @@ __all__ = [
     "FeatureDescriptor", "FeatureSet", "multi_indices", "count_features_cube",
     "count_features_pp", "enumerate_features_cube", "enumerate_features_pp",
     "eval_f_net", "eval_f_net_pp", "eval_feature", "eval_exact_target_cube",
-    "eval_exact_target_pp", "approx_error_scale", "scale_lower_bound",
+    "eval_exact_target_pp", "scale_lower_bound",
     "taylor_patch_P", "partition_of_unity_check", "architecture_summary",
     "DesignMatrix", "RidgeSolution", "build_design_matrix", "ridge_solve",
     "objective_value", "coefficient_bound_audit",

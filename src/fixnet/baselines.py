@@ -237,11 +237,6 @@ def select_by_split(data, fit_fn, grid, seed):
     )
 
 
-def fit_constant(data, seed=0):
-    """Benchmark wrapper: the constant baseline needs no selection."""
-    return constant_avg(data), None
-
-
 def fit_kernel_selected(data, seed):
     """Kernel baseline with bandwidth selected on a holdout split."""
     sel = select_by_split(data, nadaraya_watson, KERNEL_BANDWIDTH_GRID, seed)

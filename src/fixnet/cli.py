@@ -1,12 +1,21 @@
 """Command-line interface: fit, predict, bench, rate, approx-check.
 
 Configuration can come from a JSON file (schema 1) with command-line
-flags taking precedence.  The keys of fit, bench and rate are the field
-names of the command's config class (PPConfig or SmoothConfig,
-BenchConfig, RateConfig).  A value takes the kind of its field's
-default: int or float, a string, a JSON list of those for a tuple, and
-a float or null where the default is None; a value that does not
-convert exits 2.
+flags taking precedence.  Each command takes only the flags it reads
+(--workers is kept for compatibility and has no effect):
+
+    fit           --config --input --model --output --seed --workers
+    predict       --config --input --model --output
+    bench         --config --output --seed --quick --workers
+    rate          --config --output --seed
+    approx-check  --config --output --quick
+
+The keys of fit, bench and rate are the field names of the command's
+config class (PPConfig or SmoothConfig, BenchConfig, RateConfig).  An
+int field takes a JSON integer or an integral float, a float field any
+JSON number (a boolean is none), a str field a string, a tuple field a
+JSON list of those, and beta (default None) a number or null; a value
+that does not convert exits 2.
 
 Every output file starts with comment lines echoing the resolved
 configuration and master seed, so a report can be reproduced from the
@@ -83,8 +92,7 @@ def block_check_rows(scales=(1e3, 1e4, 1e5), a=1.0, M=4, step=2e-3):
 def _network_max_error(features, grid, exact_fn):
     # features is a FeatureSet: the design matrix is built from its
     # arrays, and the exact targets take its descriptors one by one.
-    design = ridge.build_design_matrix(features, grid,
-                                       warn_out_of_domain=False)
+    design = ridge.build_design_matrix(features, grid)
     worst = 0.0
     for j, f in enumerate(features):
         err = float(np.max(np.abs(design.values[:, j] - exact_fn(grid, f))))
@@ -166,15 +174,18 @@ def _resolve(file_cfg, args, key, default=None):
 
 def _converted(default, value):
     """value in the kind of a config field's default (module docstring)."""
-    if default is None:
-        return None if value is None else float(value)
-    if isinstance(default, str) and isinstance(value, str):
-        return value
     if isinstance(default, tuple) and isinstance(value, list):
         return tuple(_converted(default[0], v) for v in value)
-    if isinstance(default, (str, tuple)):
+    if isinstance(default, str) and isinstance(value, str):
+        return value
+    if default is None and value is None:
+        return None
+    if (isinstance(default, (str, tuple)) or isinstance(value, bool)
+            or not isinstance(value, (int, float))):
         raise TypeError(value)
-    return type(default)(value)
+    if isinstance(default, int) and int(value) != value:
+        raise ValueError(value)
+    return float(value) if default is None else type(default)(value)
 
 
 def _config_values(cls, file_cfg, args):
@@ -192,8 +203,9 @@ def _config_values(cls, file_cfg, args):
                 raise TypeError(value)
             else:  # [{"target": ..., "noise": ..., "trials": ...}, ...]
                 values[key] = tuple(
-                    ((_converted("", item["target"]), float(item["noise"])),
-                     int(item["trials"])) for item in value)
+                    ((_converted("", item["target"]),
+                      _converted(0.0, item["noise"])),
+                     _converted(0, item["trials"])) for item in value)
         except (TypeError, ValueError, OverflowError, KeyError):
             raise FixnetError(
                 f"config key {key!r} has an unusable value {value!r}"
@@ -364,16 +376,15 @@ def cmd_approx_check(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (schema 1)")
-    sub.add_argument("--input", help="input CSV path")
-    sub.add_argument("--model", help="model JSON path")
-    sub.add_argument("--output", help="output path (file or directory)")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--workers", type=int,
-                     help="accepted for compatibility; has no effect")
-    sub.add_argument("--quick", action="store_true",
-                     help="reduced protocol where the command supports one")
+_FLAGS = {
+    "config": {"help": "JSON config file (schema 1)"},
+    "input": {"help": "input CSV path"},
+    "model": {"help": "model JSON path"},
+    "output": {"help": "output path (file or directory)"},
+    "seed": {"type": int, "help": "master seed (default 0)"},
+    "workers": {"type": int, "help": "kept for compatibility; no effect"},
+    "quick": {"action": "store_true", "help": "reduced protocol"},
+}
 
 
 def build_parser():
@@ -386,16 +397,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
-        ("fit", cmd_fit, "fit an estimator to a training CSV"),
-        ("predict", cmd_predict, "predict with a saved model"),
-        ("bench", cmd_bench, "run the simulation benchmark"),
-        ("rate", cmd_rate, "run the convergence-rate experiment"),
+        ("fit", cmd_fit, "fit an estimator to a training CSV",
+         ("config", "input", "model", "output", "seed", "workers")),
+        ("predict", cmd_predict, "predict with a saved model",
+         ("config", "input", "model", "output")),
+        ("bench", cmd_bench, "run the simulation benchmark",
+         ("config", "output", "seed", "quick", "workers")),
+        ("rate", cmd_rate, "run the convergence-rate experiment",
+         ("config", "output", "seed")),
         ("approx-check", cmd_approx_check,
-         "verify the approximation error bounds"),
+         "verify the approximation error bounds",
+         ("config", "output", "quick")),
     )
-    for name, fn, help_text in specs:
+    for name, fn, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(handler=fn)
     return parser
 

@@ -200,7 +200,7 @@ def fit_smooth(data, config):
     xc = _clamped_inputs(data, config.a, "fit_smooth")
     feats = feat.enumerate_features_cube(data.d, config.N, config.M,
                                          config.a, config.R)
-    design = ridge.build_design_matrix(feats, xc, warn_out_of_domain=False)
+    design = ridge.build_design_matrix(feats, xc)
     solution = ridge.ridge_solve(design, data.y, config.penalty)
     if not ridge.coefficient_bound_audit(solution, data.y):
         raise EstimatorError("coefficient bound audit failed after fit")
@@ -234,8 +234,7 @@ def _pp_trial_design(xc, d, config, trial):
     directions = sample_directions(stream, config.r, d)
     feats = feat.enumerate_features_pp(d, config.N, config.M, config.A,
                                        config.R, directions)
-    return directions, ridge.build_design_matrix(feats, xc,
-                                                 warn_out_of_domain=False)
+    return directions, ridge.build_design_matrix(feats, xc)
 
 
 def fit_pp(data, config):
@@ -318,8 +317,8 @@ def predict(estimator, x):
         # No name holds the design, so each chunk's matrix is freed before
         # the next one is built.
         raw[i : i + step] = (ridge.build_design_matrix(
-            estimator.features, batch[i : i + step],
-            warn_out_of_domain=False).values @ estimator.coefficients)
+            estimator.features, batch[i : i + step]).values
+            @ estimator.coefficients)
     out = np.clip(raw, -estimator.beta, estimator.beta)
     return float(out[0]) if single else out
 

@@ -75,7 +75,6 @@ __all__ = [
     "eval_feature",
     "eval_exact_target_cube",
     "eval_exact_target_pp",
-    "approx_error_scale",
     "scale_lower_bound",
     "taylor_patch_P",
     "partition_of_unity_check",
@@ -209,8 +208,8 @@ class FeatureSet:
     equal FeatureDescriptor objects (a slice gives a list of them); the
     design-matrix plan reads the arrays instead.  A FeatureSet carries the
     family attributes of its descriptors (kind, d, degree_cap, M,
-    half_width, R, amplitude, s), so scale_lower_bound,
-    approx_error_scale and architecture_summary accept it too.
+    half_width, R, amplitude, s), so scale_lower_bound and
+    architecture_summary accept it too.
     """
 
     def __init__(self, kind, d, degree_cap, M, half_width, R,
@@ -317,16 +316,6 @@ def _as_batch(x, d):
     return x, False
 
 
-def _hat_leaf(x_scalar, anchor, M, half_width, R):
-    # M = 0 degenerates to a constant tent of value 1; the network form
-    # still evaluates fine because the input scale M/(2*half_width) is 0.
-    # anchor may be an array broadcasting against x_scalar.
-    prof = admissibility_constants()
-    if R < prof.sup_d2 * (M + 1) / (2.0 * prof.d1_at_id):
-        raise ParameterError(f"R={R:g} too small for a hat leaf with M={M}")
-    return netblocks._hat_network(x_scalar, anchor, M, half_width, R)
-
-
 def _fold_product_tree(leaves, R):
     params = netblocks.BlockParams(R=R)
     while len(leaves) > 1:
@@ -394,10 +383,11 @@ def eval_leaf(spec, xb, f):
         return netblocks.f_id(netblocks.f_id(xb[:, l] - shift, params), params)
     if kind == "hat":
         _, k, anchor = spec
-        return _hat_leaf(xb[:, k], anchor, f.M, f.half_width, f.R)
+        return netblocks._hat_network(xb[:, k], anchor, f.M, f.half_width,
+                                      f.R)
     _, direction, anchor = spec
     proj = xb @ np.asarray(direction)
-    return _hat_leaf(proj, anchor, f.M, f.half_width, f.R)
+    return netblocks._hat_network(proj, anchor, f.M, f.half_width, f.R)
 
 
 def _eval_network(x, f):
@@ -602,7 +592,8 @@ def _leaf_table(sources, fs, params):
     for name, column in sources:
         x = column[:, None]
         if name == "tent":
-            columns.append(_hat_leaf(x, fs.grid, fs.M, fs.half_width, fs.R))
+            columns.append(netblocks._hat_network(x, fs.grid, fs.M,
+                                                  fs.half_width, fs.R))
         else:
             columns.append(netblocks.f_id(netblocks.f_id(x - fs.grid, params),
                                           params))
@@ -689,13 +680,6 @@ def eval_exact_target_pp(x, f):
     proj = xb @ np.asarray(f.direction)
     out = out * netblocks.exact_hat(proj, f.anchor, f.M, f.half_width)
     return float(out[0]) if single else out
-
-
-def approx_error_scale(f):
-    """The R-scaling shape of the feature approximation error:
-    3^(3*3^s) * w^(3*2^s) * M^3 / R with w = a (cube) or A (projection)."""
-    w = f.half_width if f.kind == "cube" else f.amplitude
-    return 3.0 ** (3 * 3 ** f.s) * w ** (3 * 2 ** f.s) * f.M ** 3 / f.R
 
 
 def scale_lower_bound(f):

@@ -38,7 +38,6 @@ __all__ = [
     "f_mult",
     "f_relu",
     "f_hat",
-    "f_hat_bar",
     "bound_id",
     "bound_sq",
     "bound_mult",
@@ -235,9 +234,10 @@ def _check_hat_params(M, R):
 
 
 def _hat_network(x, y, M, half_width, R):
+    # y may broadcast against x.  M = 0 gives the constant tent 1, as the
+    # input scale M/(2*half_width) is 0.  The relu blocks see arguments in
+    # [-(M+1), M+1], so their own R test is the tent's precondition.
     t = (M / (2.0 * half_width)) * (np.asarray(x, dtype=float) - y)
-    # The relu blocks see arguments in [-(M+1), M+1]; their own domain test
-    # is the hat precondition already checked by the caller.
     relu_params = BlockParams(R=R, a=float(M + 1))
     return (
         f_relu(t + 1.0, relu_params)
@@ -250,17 +250,6 @@ def f_hat(x, y, params):
     """Tent block: approximates (1 - (M/2a)*|x - y|)_+ via three relu blocks."""
     _check_hat_params(params.M, params.R)
     return _maybe_scalar(_hat_network(x, y, params.M, params.a, params.R))
-
-
-def f_hat_bar(u, y, M, d, A, R):
-    """Projection-line tent block: half-width sqrt(d)*A instead of a."""
-    if d < 1:
-        raise ParameterError(f"d must be a positive integer, got {d!r}")
-    if not A > 0:
-        raise ParameterError(f"A must be positive, got {A!r}")
-    R = clamp_scale(R)
-    _check_hat_params(M, R)
-    return _maybe_scalar(_hat_network(u, y, M, np.sqrt(d) * A, R))
 
 
 def exact_hat(x, y, M, half_width):

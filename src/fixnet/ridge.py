@@ -12,7 +12,6 @@ factorization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,6 @@ import numpy as np
 from . import features as feat
 from .errors import ParameterError, SolverError
 
-# Row-block size for memory-bounded Gram accumulation.
-_GRAM_CHUNK = 4096
-# Above this many rows the Gram matrix is accumulated in pairwise fashion
-# over row blocks, which keeps summation error O(log n) instead of O(n).
-_PAIRWISE_THRESHOLD = 10_000
 # Relative residual ceiling for an accepted solve; one step of iterative
 # refinement is applied first if the direct solve lands above the target.
 _RESIDUAL_TARGET = 1e-10
@@ -51,7 +45,7 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def build_design_matrix(features, x, warn_out_of_domain=True):
+def build_design_matrix(features, x):
     """Evaluate every feature of a FeatureSet on a batch of inputs.
 
     features is a FeatureSet (what enumerate_features_* return) and x an
@@ -59,6 +53,8 @@ def build_design_matrix(features, x, warn_out_of_domain=True):
     values come from features.eval_features, whose column j equals
     eval_feature(x, features[j]) bit for bit; the features module
     docstring describes the plan.  A (0, d) batch gives a (0, J) matrix.
+    Points outside the approximation cube are evaluated as they are; the
+    fits clamp their inputs, and predict extrapolates on purpose.
     """
     if not isinstance(features, feat.FeatureSet):
         raise ParameterError("features must be a FeatureSet")
@@ -69,42 +65,9 @@ def build_design_matrix(features, x, warn_out_of_domain=True):
     if not np.all(np.isfinite(xb)):
         raise ParameterError("input batch contains non-finite values")
 
-    if warn_out_of_domain:
-        half = (features.half_width if features.kind == "cube"
-                else features.amplitude)
-        if np.any(np.abs(xb) > half + 1e-12):
-            warnings.warn(
-                "design-matrix inputs fall outside the approximation cube",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
     feat._warn_if_low_R(features)
     return DesignMatrix(values=feat.eval_features(features, xb),
                         feature_order=features)
-
-
-def _pairwise_reduce(parts):
-    while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            merged.append(parts[i] + parts[i + 1])
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
-
-
-def _accumulate(b, other):
-    """b.T @ other, accumulated pairwise over row blocks for tall matrices."""
-    n = b.shape[0]
-    if n <= _PAIRWISE_THRESHOLD:
-        return b.T @ other
-    parts = [
-        b[i : i + _GRAM_CHUNK].T @ other[i : i + _GRAM_CHUNK]
-        for i in range(0, n, _GRAM_CHUNK)
-    ]
-    return _pairwise_reduce(parts)
 
 
 @dataclass(frozen=True)
@@ -191,7 +154,7 @@ def ridge_solve(design, y, penalty):
         raise ParameterError("design matrix and response must be finite")
 
     if width > n:
-        outer = _accumulate(b.T, b.T) + penalty * np.eye(n)
+        outer = b @ b.T + penalty * np.eye(n)
         solve, cond = _spd_solver(outer)
         dual = _refined_solve(outer, y, solve, cond)
         coef = b.T @ dual
@@ -206,8 +169,8 @@ def ridge_solve(design, y, penalty):
                 condition_estimate=cond,
             )
     else:
-        gram = _accumulate(b, b) + penalty * np.eye(width)
-        rhs = _accumulate(b, y)
+        gram = b.T @ b + penalty * np.eye(width)
+        rhs = b.T @ y
         solve, cond = _spd_solver(gram)
         coef = _refined_solve(gram, rhs, solve, cond)
 

@@ -7,7 +7,6 @@ from fixnet.baselines import (
     KERNEL_BANDWIDTH_GRID,
     RBF_EXPONENT_GRID,
     constant_avg,
-    fit_constant,
     fit_kernel_selected,
     fit_neighbor_selected,
     fit_rbf_selected,
@@ -131,8 +130,6 @@ def test_select_by_split_guards():
 
 def test_selected_baseline_wrappers():
     data = _toy_data(50, seed=4)
-    pred, param = fit_constant(data)
-    assert param is None and isinstance(pred(data.x[0]), float)
     pred, bandwidth = fit_kernel_selected(data, seed=0)
     assert bandwidth in KERNEL_BANDWIDTH_GRID
     pred, k = fit_neighbor_selected(data, seed=0)

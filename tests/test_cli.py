@@ -14,7 +14,8 @@ import pytest
 from fixnet import ridge
 from fixnet.estimators import load_estimator, predict
 from fixnet.features import count_features_pp, eval_feature
-from fixnet.cli import block_check_rows, decay_check_rows, main, run_approx_check
+from fixnet.cli import (block_check_rows, build_parser, decay_check_rows,
+                        main, run_approx_check)
 from fixnet.rng import Stream
 
 
@@ -212,6 +213,13 @@ def test_importing_the_cli_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
+def test_every_exported_name_resolves():
+    import fixnet
+
+    missing = [name for name in fixnet.__all__ if not hasattr(fixnet, name)]
+    assert not missing
+
+
 def test_fit_reports_csv_header_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x1,x2\n0.1,0.2\n")
@@ -261,6 +269,9 @@ def test_config_that_is_not_json_exits_2(tmp_path, capsys):
     ({"beta": [1.0]}, "'beta'"),
     ({"trials": 1e400}, "'trials'"),
     ({"estimator": "smooth", "a": "wide"}, "'a'"),
+    ({"trials": 2.7}, "'trials'"),
+    ({"trials": True}, "'trials'"),
+    ({"N": "2"}, "'N'"),
 ])
 def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, key):
     train = tmp_path / "train.csv"
@@ -272,6 +283,18 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"config key {key}" in err
     assert not model.exists()
+
+
+def test_integral_floats_are_accepted_for_integer_keys(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    config = _write_config(tmp_path / "fit.json",
+                           {**FAST_FIT, "M": 2.0, "trials": 2.0})
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)]) == 0
+    est = load_estimator(str(model))
+    assert est.M == 2 and len(est.selection_trace) == 2
 
 
 def test_smooth_fit_reads_only_its_own_keys(tmp_path, capsys):
@@ -306,6 +329,8 @@ MINI_CONFIGS = {
     ("bench", {"targets": "m2"}, "targets"),
     ("bench", {"quick": "false"}, "quick"),
     ("approx-check", {"quick": "false"}, "quick"),
+    ("bench", {"reps": 2.5}, "reps"),
+    ("rate", {"seeds": True}, "seeds"),
 ])
 def test_command_config_values_that_do_not_convert_exit_2(
         tmp_path, capsys, command, edit, key):
@@ -316,6 +341,24 @@ def test_command_config_values_that_do_not_convert_exit_2(
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"config key '{key}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--seed", "1"],
+    ["rate", "--quick"],
+    ["approx-check", "--model", "m.json"],
+])
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, workers", [("fit", 2), ("bench", 3)])
+def test_fit_and_bench_still_accept_workers(command, workers):
+    args = build_parser().parse_args([command, "--workers", str(workers)])
+    assert args.workers == workers
 
 
 def test_missing_input_is_reported(tmp_path, capsys):
@@ -444,7 +487,6 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="scale R is below",
                                 category=RuntimeWarning)
-        design = ridge.build_design_matrix(est.features, x,
-                                           warn_out_of_domain=False)
+        design = ridge.build_design_matrix(est.features, x)
         for j, f in enumerate(est.features):
             assert np.array_equal(design.values[:, j], eval_feature(x, f)), j

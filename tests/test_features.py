@@ -435,7 +435,7 @@ def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
     if point:
         x = x[0]
     with _silence_low_r(), mock.patch.object(features, "_BLOCK_ENTRY_BUDGET", budget):
-        design = build_design_matrix(feats, x, warn_out_of_domain=False)
+        design = build_design_matrix(feats, x)
         assert design.values.shape == (1 if point else n, len(feats))
         for j, f in enumerate(feats):
             want = eval_feature(x, f)

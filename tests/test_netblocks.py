@@ -1,6 +1,5 @@
 """Tests for the five fixed-weight scalar blocks and their error bounds."""
 
-import math
 import warnings
 
 import numpy as np
@@ -19,7 +18,6 @@ from fixnet.netblocks import (
     clamp_scale,
     exact_hat,
     f_hat,
-    f_hat_bar,
     f_id,
     f_mult,
     f_relu,
@@ -189,15 +187,6 @@ def test_exact_hats_form_partition_of_unity():
     xs = np.linspace(-a, a, 777)
     total = sum(exact_hat(xs, -a + i * 2 * a / M, M, a) for i in range(M + 1))
     assert np.max(np.abs(total - 1.0)) <= 1e-15
-
-
-def test_hat_bar_equals_hat_with_projected_half_width():
-    d, A, M, R = 3, 0.8, 4, 1e5
-    half = math.sqrt(d) * A
-    us = np.linspace(-half, half, 101)
-    via_bar = f_hat_bar(us, 0.25, M, d, A, R)
-    via_hat = f_hat(us, 0.25, BlockParams(R=R, a=half, M=M))
-    assert np.array_equal(via_bar, via_hat)
 
 
 def test_error_bounds_scale_inversely_with_R():
