@@ -296,7 +296,8 @@ def fit_pp(data, config):
 
 
 # Cap on design-matrix entries held at once while predicting; larger
-# batches are processed in row chunks of this many entries.
+# batches are processed in row chunks of this many entries.  Chunking can
+# move the last bits of a prediction (see predict).
 _PREDICT_ENTRY_BUDGET = 2**24
 
 
@@ -305,8 +306,11 @@ def predict(estimator, x):
 
     Inputs outside the training cube are evaluated as-is; every feature is
     total, so predictions stay finite everywhere.  Large batches are
-    evaluated in row chunks to bound memory; predictions are row-wise, so
-    chunking does not change them.  A (0, d) batch gives an empty array.
+    evaluated in row chunks to bound memory.  Chunking can change the last
+    bits of a prediction: a row's value from one BLAS matrix-vector call
+    depends on the row's place in the call (on a random 20,000 x 1,904
+    design, 8,811-row chunks moved 8 rows by up to 4e-14), so the chunking
+    test allows 1e-12.  A (0, d) batch gives an empty array.
     """
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1

@@ -21,29 +21,23 @@ stores.  Indexing or iterating a FeatureSet builds FeatureDescriptor
 objects, one per feature.  eval_feature evaluates one descriptor by
 folding its own leaves; it is the oracle for eval_features, which
 evaluates every feature of a FeatureSet, the whole design matrix,
-through a plan:
+through a plan of instances:
 
-- the template tree of a (kind, d, N) is compiled once over every
-  multi-index and cached, since every set of one (kind, d, N) has it;
-- features sharing an anchor and direction form a group; the group of a
-  column, its leaf values and its root node follow from the set's arrays
-  by index arithmetic;
-- template nodes are de-duplicated by their child pair.  Shared nodes
-  (only constant or raw-monomial leaves below) are evaluated once, not
-  once per group; per-group nodes (a tent or an anchor-shifted monomial
-  below) are evaluated for blocks of whole groups and rows, as many
-  groups as fit first, a block holding at most _BLOCK_ENTRY_BUDGET (row,
-  group, node) entries at its widest level;
-- each distinct leaf is evaluated once, and the fold runs level by level.
-  A level lays its per-group nodes out by child class (per-group with
-  per-group, per-group with shared, shared with per-group), so each class
-  is one f_mult call per block, written in place into its run of the
-  level.  A block holds a level as a (rows, nodes, groups) array, so the
-  innermost axis of every f_mult ufunc runs over the block's groups.  A
-  shared child enters as a view broadcast along it, a per-group child as
-  a view or one gather of the level below;
-- a group's columns are contiguous in a FeatureSet, so each block is
-  written to its rows and columns of the result by one np.take.
+- a leaf instance is a leaf with its anchor: a cube tent or
+  anchor-shifted monomial of coordinate k at each anchor of k, a
+  projection tent at each (direction, anchor), and the raw monomials and
+  the constant one once each.  The leaf table holds each one's values;
+- a node instance of the next level is a distinct pair of child
+  instances, so a partial product is evaluated once per distinct
+  sub-tuple of the anchors it depends on, and once for all features when
+  it depends on none.  Instances are told apart by structure, never by
+  value: each direction row has its own projection and tents.  The root
+  level is the features themselves, in FeatureSet column order;
+- the plan of a (kind, d, N, M, r) is compiled once by index arithmetic
+  and cached, since every set of those parameters has it;
+- rows are folded in blocks, each level of a block one f_mult call on
+  two gathers of the level below, and the root level is written straight
+  into the block's rows of the result.
 
 Every value passes through the same elementwise block recurrences, with
 the same operands in the same order, as in eval_feature, so the plan's
@@ -421,194 +415,112 @@ fold_product_tree = _fold_product_tree
 
 
 # ---------------------------------------------------------------------------
-# many features at once: the compiled product-tree plan
+# many features at once: the instance-level product-tree plan
 # ---------------------------------------------------------------------------
 
-# Cap on (row, group, node) entries of one block of per-group tree nodes,
-# counted at the widest tree level.  It bounds the fold's temporaries, and
-# blocks this small stay in cache: on a 2-vCPU Xeon (2 MiB L2 per core)
-# with numpy 2.4, the in-place f_mult takes 14-22 ns per entry on 2^14 and
-# 2^15 entries, where its five block-sized arrays fit in L2, and 32-45 ns
-# on 2^16 and 2^18 entries.  Smaller blocks pay the per-call cost of its
-# 32 ufunc calls more often: design builds of both plan shapes (projection
-# and cube) ran 5-15% faster at 2^15 than at 2^14.
+# Cap on (row, instance) entries of one row block at the plan's widest
+# level, which bounds the fold's temporaries.  On a 2-vCPU Xeon (2 MiB L2
+# per core) with numpy 2.4, interleaved builds of a 4,000-row cube design
+# (d=4, N=2, M=2; widest level 1,215) and an 8,811-row projection design
+# (d=6, N=2, M=16, r=4; widest level 1,904) took, in medians of 7 at
+# budgets 2^13, 2^14, 2^15 and 2^16: cube 0.27, 0.24, 0.21, 0.21 s and
+# projection 0.87, 0.73, 0.73, 0.81 s.  Smaller blocks pay the per-call
+# cost of f_mult's 32 ufunc calls more often; larger ones leave L2.
 _BLOCK_ENTRY_BUDGET = 2**15
 
-# The classes of per-group tree nodes by the kind of their (left, right)
-# children, True for per-group, in the order a level lays them out.
-_GROUP_CLASSES = ((True, True), (True, False), (False, True))
+
+def _leaf_codes(kind, d, N):
+    """The leaves of the product trees of one (kind, d, N), a (K, 2**s)
+    array whose row k is the _leaf_tokens of multi-index k, coded
+    ("mono", l) as l, ("tent", k) as d + k and ("one",) as d + tents,
+    with tents = d for a cube tree and 1 for a projection tree."""
+    table = _multi_index_table(d, N)
+    K, tents = len(table), d if kind == "cube" else 1
+    sizes = table.sum(axis=1)
+    width = 2 ** _tree_depth(kind, d, N)
+    codes = np.full((K, width), d + tents, dtype=np.intp)
+    rows = np.repeat(np.arange(K), sizes)
+    codes[rows, np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows]] = (
+        np.repeat(np.tile(np.arange(d), K), table.ravel()))
+    codes[np.arange(K)[:, None], sizes[:, None] + np.arange(tents)] = (
+        d + np.arange(tents))
+    return codes
 
 
-def _side(children, group, picks):
-    """One operand of a class of per-group nodes, as (group, index).
+def _leaf_instances(kind, d, M, r):
+    """The leaf instances of a FeatureSet, as (V, ids).
 
-    A shared side (group False) indexes picks, the shared nodes gathered
-    for the level's classes, by a slice: the children are appended to
-    picks.  A per-group side indexes the previous level by a slice when
-    its children are one node or a run of consecutive nodes, and by an
-    index array otherwise.
+    V is the width of the _leaf_table, and ids[g, code] is its column for
+    the leaf coded code (see _leaf_codes) in group g: a cube tent or
+    monomial of coordinate k at the anchor index of k in g, the projection
+    tent of g, a raw monomial or the constant one.
     """
-    if not group:
-        picks.extend(children)
-        return False, slice(len(picks) - len(children), len(picks))
-    lo = children[0]
-    if all(c == lo for c in children):
-        return True, slice(lo, lo + 1)
-    if children == list(range(lo, lo + len(children))):
-        return True, slice(lo, lo + len(children))
-    return True, np.array(children, dtype=np.intp)
-
-
-@dataclass(frozen=True)
-class _TreePlan:
-    """The de-duplicated product trees of one feature family.
-
-    Tree nodes are de-duplicated by their child pair.  A shared node has
-    only constant-one or raw-monomial leaves below it, so it takes the
-    same values in every group and is folded once for all of them; a
-    per-group node has a tent or an anchor-shifted monomial below it.
-    Level k + 1 folds shared_folds[k] (left and right indices into the
-    shared nodes of level k) and the per-group nodes of group_folds[k].
-    Those are laid out by child class (_GROUP_CLASSES), each class a run
-    (lo, hi, left, right) of the level with operands from _side; a shared
-    operand slices shared_picks[k], indices into the shared nodes of
-    level k.  widths[k] counts the per-group nodes of level k, and
-    roots[i] is the per-group root node of the i-th multi-index.
-    """
-
-    kind: str
-    shared_leaves: tuple
-    group_leaves: tuple
-    shared_folds: tuple
-    group_folds: tuple
-    shared_picks: tuple
-    widths: tuple
-    roots: np.ndarray
-
-
-def _compile_tree(kind, multi_index_list, s):
-    """The _TreePlan of depth s over the given multi-indices."""
-    per_group_token = {"one": False, "tent": True, "mono": kind == "cube"}
-    nodes = ([], [])
-    ids = {}
-    rows = []
-    for j in multi_index_list:
-        row = []
-        for token in _leaf_tokens(kind, j, s):
-            if token not in ids:
-                side = per_group_token[token[0]]
-                ids[token] = (side, len(nodes[side]))
-                nodes[side].append(token)
-            row.append(ids[token])
-        rows.append(row)
-    shared_leaves, group_leaves = map(tuple, nodes)
-    shared_folds, group_folds, shared_picks = [], [], []
-    widths = [len(group_leaves)]
-    while len(rows[0]) > 1:
-        rows = [list(zip(row[0::2], row[1::2])) for row in rows]
-        pairs = list(dict.fromkeys(pair for row in rows for pair in row))
-        shared = [p for p in pairs if not (p[0][0] or p[1][0])]
-        ids = {p: (False, i) for i, p in enumerate(shared)}
-        classes, picks = [], []
-        for cls in _GROUP_CLASSES:
-            members = [p for p in pairs if (p[0][0], p[1][0]) == cls]
-            if members:
-                lo = len(ids) - len(shared)
-                ids.update((p, (True, lo + i)) for i, p in enumerate(members))
-                classes.append((lo, lo + len(members)) + tuple(
-                    _side([p[side][1] for p in members], cls[side], picks)
-                    for side in (0, 1)))
-        rows = [[ids[p] for p in row] for row in rows]
-        shared_folds.append(tuple(np.array([p[side][1] for p in shared],
-                                           dtype=np.intp) for side in (0, 1)))
-        group_folds.append(tuple(classes))
-        shared_picks.append(np.array(picks, dtype=np.intp))
-        widths.append(len(ids) - len(shared))
-    assert all(row[0][0] for row in rows), "every feature has a tent leaf"
-    roots = _frozen(np.array([row[0][1] for row in rows], dtype=np.intp))
-    return _TreePlan(kind, shared_leaves, group_leaves, tuple(shared_folds),
-                     tuple(group_folds), tuple(shared_picks), tuple(widths),
-                     roots)
+    m1 = M + 1
+    if kind == "cube":
+        places = m1 ** np.arange(d - 1, -1, -1)
+        anchors = np.arange(m1 ** d)[:, None] // places % m1
+        tents = np.arange(d) * m1 + anchors
+        monos = d * m1 + tents
+        V = 2 * d * m1 + 1
+    else:
+        tents = np.arange(r * m1)[:, None]
+        monos = np.broadcast_to(r * m1 + np.arange(d), (len(tents), d))
+        V = r * m1 + d + 1
+    return V, np.hstack([monos, tents, np.full((len(tents), 1), V - 1)])
 
 
 @functools.lru_cache(maxsize=16)
-def _tree_plan(kind, d, N):
-    """The _TreePlan over multi_indices(d, N), the tree of every feature
-    set of one (kind, d, N), so each trial of a fit reuses it."""
-    return _compile_tree(kind, multi_indices(d, N), _tree_depth(kind, d, N))
+def _plan(kind, d, N, M, r):
+    """The product trees of every feature of a FeatureSet, as instances.
 
-
-def _shared_levels(plan, xb, params):
-    """Values of every shared node, one (n, nodes) array per level."""
-    leaves = np.empty((xb.shape[0], len(plan.shared_leaves)))
-    monos = [(p, t[1]) for p, t in enumerate(plan.shared_leaves)
-             if t[0] == "mono"]
-    leaves[:, [p for p, t in enumerate(plan.shared_leaves) if t[0] == "one"]] = 1.0
-    if monos:
-        # leaf_specs shifts these by 0.0, which leaves every x unchanged.
-        comps = np.take(xb, [l for _, l in monos], axis=1)
-        leaves[:, [p for p, _ in monos]] = netblocks.f_id(
-            netblocks.f_id(comps, params), params)
-    levels = [leaves]
-    for left, right in plan.shared_folds:
-        prev = levels[-1]
-        if left.size:
-            levels.append(netblocks.f_mult(np.take(prev, left, axis=1),
-                                           np.take(prev, right, axis=1), params))
-        else:
-            levels.append(prev[:, :0])
-    return levels
-
-
-def _leaf_sources(fs, plan, xb):
-    """The per-group leaves of a FeatureSet.
-
-    Returns (sources, index).  A source (leaf name, input column) stands
-    for the named leaf of the column against every anchor of fs.grid: a
-    cube leaf has one source per component, and a projection tent one per
-    row of fs.directions, on its own product xb @ direction.  index maps
-    (group, per-group leaf) to a column of the source values laid side by
-    side.
+    Returns one (left, right) pair of index arrays per tree level above
+    the leaves: instance i of a level is the product of instances left[i]
+    and right[i] of the level below, level 0 being the _leaf_table.  Below
+    the root, an instance is a distinct pair of child instances, so a node
+    is evaluated once per distinct sub-tuple of the anchors it depends on
+    (once for all groups when it depends on none).  The root level holds
+    the features in FeatureSet column order.  Template nodes, the nodes of
+    the K trees without anchors, are de-duplicated first, so no array here
+    has more than (groups, nodes per group) entries.
     """
-    m1 = fs.M + 1
-    groups = np.arange(len(fs) // len(fs.multi_index_table))
-    if fs.kind == "line":
-        # The only per-group leaf of a projection tree is its tent, and
-        # group g is direction g // m1 at anchor g % m1: column g of the
-        # sources laid side by side.
-        return ([("tent", xb @ np.array(b)) for b in fs.directions],
-                groups[:, None])
-    index = np.empty((groups.size, len(plan.group_leaves)), dtype=np.intp)
-    sources = []
-    for p, (name, comp) in enumerate(plan.group_leaves):
-        sources.append((name, xb[:, comp]))
-        index[:, p] = p * m1 + groups // m1 ** (fs.d - 1 - comp) % m1
-    return sources, index
+    codes = _leaf_codes(kind, d, N)
+    V, ids = _leaf_instances(kind, d, M, r)
+    n_codes, folds = ids.shape[1], []
+    while codes.shape[1] > 2:
+        nodes, inverse = np.unique(codes[:, 0::2] * n_codes + codes[:, 1::2],
+                                   return_inverse=True)
+        codes = inverse.reshape(len(codes), -1)
+        pairs = ids[:, nodes // n_codes] * V + ids[:, nodes % n_codes]
+        instances, inverse = np.unique(pairs, return_inverse=True)
+        ids, n_codes = inverse.reshape(pairs.shape), len(nodes)
+        folds.append(tuple(map(_frozen, np.divmod(instances, V))))
+        V = len(instances)
+    if codes.shape[1] == 2:
+        # Column g * K + k is the root of multi-index k in group g.
+        folds.append(tuple(_frozen(ids[:, codes[:, side]].ravel())
+                           for side in (0, 1)))
+    return tuple(folds)
 
 
-def _leaf_table(sources, fs, params):
-    """(n, V) values of every source, side by side."""
-    columns = []
-    for name, column in sources:
-        x = column[:, None]
-        if name == "tent":
-            columns.append(netblocks._hat_network(x, fs.grid, fs.M,
-                                                  fs.half_width, fs.R))
-        else:
-            columns.append(netblocks.f_id(netblocks.f_id(x - fs.grid, params),
-                                          params))
-    return np.concatenate(columns, axis=1)
-
-
-def _class_operand(side, values, picked):
-    """One operand of a class of per-group nodes (see _side): a view or
-    one gather of the previous level's values, shape (rows, k, groups),
-    or a (rows, k, 1) view of the level's picked shared nodes."""
-    group, index = side
-    source = values if group else picked
-    if isinstance(index, slice):
-        return source[:, index]
-    return np.take(source, index, axis=1)
+def _leaf_table(fs, xb, params):
+    """(n, V) values of every leaf instance of fs, laid out as
+    _leaf_instances indexes them: the tents of coordinate k (cube) or
+    direction k (line) at anchor i in column k * (M+1) + i, then the
+    monomials, of coordinate l at anchor i (cube) or of coordinate l
+    (line), then the constant one."""
+    if fs.kind == "cube":
+        inputs = xb
+    else:
+        # Each projection is its own matrix-vector product, as in eval_leaf.
+        inputs = np.stack([xb @ np.array(b) for b in fs.directions], axis=1)
+    points = np.repeat(inputs, fs.M + 1, axis=1)
+    anchors = np.tile(fs.grid, inputs.shape[1])
+    tents = netblocks._hat_network(points, anchors, fs.M, fs.half_width, fs.R)
+    # leaf_specs shifts projection monomials by 0.0, which leaves every x
+    # unchanged.
+    monos = points - anchors if fs.kind == "cube" else xb
+    monos = netblocks.f_id(netblocks.f_id(monos, params), params)
+    return np.concatenate([tents, monos, np.ones((len(xb), 1))], axis=1)
 
 
 def eval_features(fs, xb):
@@ -616,41 +528,30 @@ def eval_features(fs, xb):
 
     Returns an (n, len(fs)) array whose column j equals
     eval_feature(xb, fs[j]) bit for bit.  The module docstring describes
-    the plan that computes it.
+    the plan that computes it.  Rows are folded in blocks of at most
+    max(1, _BLOCK_ENTRY_BUDGET // widest) rows, widest being the widest
+    level of the plan, so besides the result and the (n, V) leaf table a
+    block holds at most ten arrays of max(_BLOCK_ENTRY_BUDGET, widest)
+    entries: one-row blocks when J exceeds the budget, whose temporaries
+    are the order of one design row.
     """
-    plan = _tree_plan(fs.kind, fs.d, fs.degree_cap)
+    r = 1 if fs.kind == "cube" else len(fs.directions)
+    folds = _plan(fs.kind, fs.d, fs.degree_cap, fs.M, r)
     params = netblocks.BlockParams(R=fs.R)
-    K = len(fs.multi_index_table)
-    n, groups = xb.shape[0], len(fs) // K
+    table = _leaf_table(fs, xb, params)
+    if not folds:
+        # A one-leaf tree is the tent of its group g, column g of the table.
+        return table[:, :len(fs)].copy()
+    n = xb.shape[0]
     out = np.empty((n, len(fs)))
-    widest = max(plan.widths)
-    groups_per_block = max(1, min(groups, _BLOCK_ENTRY_BUDGET // widest))
-    rows_per_block = max(1, _BLOCK_ENTRY_BUDGET // (groups_per_block * widest))
-    sources, leaf_index = _leaf_sources(fs, plan, xb)
-    picked = [np.take(level, picks, axis=1)[:, :, None] for level, picks
-              in zip(_shared_levels(plan, xb, params), plan.shared_picks)]
-    table = _leaf_table(sources, fs, params)
-    for start in range(0, groups, groups_per_block):
-        stop = min(start + groups_per_block, groups)
-        # Column g*K + k of the block takes root k of its group g.
-        roots = (plan.roots * (stop - start)
-                 + np.arange(stop - start)[:, None]).ravel()
-        index = leaf_index[start:stop].T
-        for r0 in range(0, n, rows_per_block):
-            rows = slice(r0, r0 + rows_per_block)
-            values = np.take(table[rows], index, axis=1)
-            for level, classes in enumerate(plan.group_folds):
-                prev, shared = values, picked[level][rows]
-                values = np.empty((prev.shape[0], plan.widths[level + 1],
-                                   prev.shape[2]))
-                for lo, hi, left, right in classes:
-                    netblocks.f_mult(_class_operand(left, prev, shared),
-                                     _class_operand(right, prev, shared),
-                                     params, out=values[:, lo:hi])
-            # With mode="raise" np.take always buffers out; every index is
-            # in range.
-            np.take(values.reshape(values.shape[0], -1), roots, axis=1,
-                    out=out[rows, start * K:stop * K], mode="clip")
+    step = max(1, _BLOCK_ENTRY_BUDGET // max(left.size for left, _ in folds))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        values = table[rows]
+        for level, (left, right) in enumerate(folds, 1):
+            values = netblocks.f_mult(
+                np.take(values, left, axis=1), np.take(values, right, axis=1),
+                params, out=out[rows] if level == len(folds) else None)
     return out
 
 

@@ -222,17 +222,6 @@ def f_relu(x, params):
     return _maybe_scalar(out)
 
 
-def _check_hat_params(M, R):
-    prof = admissibility_constants()
-    if M is None or M < 1:
-        raise ParameterError("hat block requires a positive grid resolution M")
-    threshold = prof.sup_d2 * (M + 1) / (2.0 * prof.d1_at_id)
-    if R < threshold:
-        raise ParameterError(
-            f"hat block requires R >= {threshold:g} for M={M}, got R={R:g}"
-        )
-
-
 def _hat_network(x, y, M, half_width, R):
     # y may broadcast against x.  M = 0 gives the constant tent 1, as the
     # input scale M/(2*half_width) is 0.  The relu blocks see arguments in
@@ -247,8 +236,12 @@ def _hat_network(x, y, M, half_width, R):
 
 
 def f_hat(x, y, params):
-    """Tent block: approximates (1 - (M/2a)*|x - y|)_+ via three relu blocks."""
-    _check_hat_params(params.M, params.R)
+    """Tent block: approximates (1 - (M/2a)*|x - y|)_+ via three relu blocks.
+
+    Needs a grid resolution M >= 1; the relu blocks check R themselves.
+    """
+    if params.M is None or params.M < 1:
+        raise ParameterError("hat block requires a positive grid resolution M")
     return _maybe_scalar(_hat_network(x, y, params.M, params.a, params.R))
 
 

@@ -490,3 +490,22 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
         design = ridge.build_design_matrix(est.features, x)
         for j, f in enumerate(est.features):
             assert np.array_equal(design.values[:, j], eval_feature(x, f)), j
+
+    smooth_dir = tmp_path / "smooth"
+    smooth_dir.mkdir()
+    _write_training_csv(smooth_dir / "train.csv")
+    config = _write_config(smooth_dir / "fit.json",
+                           {"estimator": "smooth", "N": 2, "M": 2})
+    proc = subprocess.run(
+        tracer + [str(smooth_dir), "--", "fit", "--config", config,
+                  "--input", str(smooth_dir / "train.csv"),
+                  "--output", str(smooth_dir / "model.json")],
+        cwd=smooth_dir, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    metrics, _ = perfbench_tracer.summarize(str(smooth_dir))
+    # 16 rows of d=2, N=2, M=2 cube features: per row, 18 tent products
+    # (3 relu blocks on 2 x 3 leaves) and 40 + 54 tree products, each node
+    # evaluated once per distinct anchor sub-tuple.  A plan that evaluates
+    # every per-group node once per group reads 2,176 (64 + 54 tree
+    # products per row).
+    assert metrics["netblocks.f_mult_elems"] == 16 * (18 + 40 + 54)

@@ -210,6 +210,8 @@ def test_predict_handles_points_and_batches():
 
 
 def test_predict_chunking_does_not_change_values(monkeypatch):
+    # Not bitwise: a row's value from one BLAS matrix-vector call depends
+    # on the row's place in the call, so chunks may move the last bits.
     data = _toy_data(40, seed=11)
     with _quiet():
         est = fit_pp(data, PP_SMALL)

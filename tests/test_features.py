@@ -4,6 +4,7 @@ approximant, and the architecture audit."""
 import contextlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -19,7 +20,6 @@ from fixnet.features import (
     MAX_FEATURES,
     FeatureDescriptor,
     FeatureSet,
-    _compile_tree,
     architecture_summary,
     count_features_cube,
     count_features_pp,
@@ -379,29 +379,63 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_projection_plan_shares_the_monomial_nodes():
-    # d=6, N=2: 28 multi-indices over a 4-leaf tree.  Node de-duplication
-    # leaves 7 + 28 per-group product blocks per group (84 without it) and
-    # 22 shared (one, one) and (monomial, monomial) blocks for the call.
-    # Each level lays its per-group nodes out by child class, (group,
-    # group), (group, shared), (shared, group), one run of nodes each.
-    def classes(plan):
-        return [[((left[0], right[0]), hi - lo) for lo, hi, left, right in level]
-                for level in plan.group_folds]
+def _level_widths(kind, d, N, M, r=1):
+    return [left.size for left, _ in features._plan(kind, d, N, M, r)]
 
-    plan = _compile_tree("line", multi_indices(6, 2), 2)
-    assert plan.widths == (1, 7, 28)
-    assert [left.size for left, _ in plan.shared_folds] == [22, 0]
-    assert sorted(plan.roots.tolist()) == list(range(28))
-    # Every per-group product has exactly one shared child.
-    assert classes(plan) == [[((True, False), 1), ((False, True), 6)],
-                             [((True, False), 7), ((False, True), 21)]]
-    cube = _compile_tree("cube", multi_indices(2, 2), 2)
-    assert cube.shared_leaves == (("one",),)
-    # Cube monomials are anchor-shifted, so only padding is shared.
-    assert cube.widths == (4, 7, 6)
-    assert classes(cube) == [[((True, True), 6), ((True, False), 1)],
-                             [((True, True), 5), ((True, False), 1)]]
+
+def test_plan_evaluates_each_node_once_per_anchor_sub_tuple():
+    # Projection, d=6, N=2, M=16, r=4: 28 multi-indices over 4-leaf
+    # trees, 68 (direction, anchor) groups.  Level 1 holds 7 tent pairs
+    # per group and the 22 (one, one) and (monomial, monomial) products
+    # once for all groups; the root level holds the 1,904 features.
+    assert _level_widths("line", 6, 2, 16, 4) == [7 * 68 + 22, 1904]
+    # Cube, d=4, N=2, M=2: 15 multi-indices over 8-leaf trees, 81 groups.
+    assert _level_widths("cube", 4, 2, 2) == [127, 526, 1215]
+    # Cube, d=2, N=2, M=2: 6 multi-indices over 4-leaf trees, 9 groups.
+    # Level 1 has 8 distinct leaf pairs.  (tent 0, tent 1), (mono 1,
+    # tent 0) and (mono 0, mono 1) depend on both anchors, 9 instances
+    # each; (tent 1, one), (mono 1, mono 1), (mono 0, tent 0) and (mono 0,
+    # mono 0) on one anchor, 3 each; (one, one) on none, 1.  That is 40,
+    # where a per-group level holds 7 * 9 + 1 = 64.  The root level holds
+    # the 9 * 6 = 54 features.
+    assert _level_widths("cube", 2, 2, 2) == [9 * 3 + 3 * 4 + 1, 54]
+    # A one-leaf tree has no product level.
+    assert _level_widths("cube", 1, 0, 3) == []
+    assert _level_widths("line", 3, 0, 3, 2) == []
+
+
+def test_cube_design_is_bitwise_the_oracle_on_every_column():
+    # The smooth-fit plan shape: three product levels of 127, 526 and
+    # 1,215 instances.
+    feats = enumerate_features_cube(4, 2, 2, 1.0, 1e6)
+    x = Stream(21).uniform_matrix(8, 4, low=-1.0, high=1.0)
+    with _silence_low_r():
+        design = features.eval_features(feats, x)
+        assert design.shape == (8, 1215)
+        for j, f in enumerate(feats):
+            assert _bitwise_equal(design[:, j], eval_feature(x, f)), (j, f)
+
+
+def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
+    # The widest level (1,215 roots) exceeds the budget, so rows are
+    # folded one at a time.  Besides the design, a block holds at most
+    # ten arrays of max(budget, widest) entries; the leaf table of 16
+    # rows (16 x 25 values) is smaller than one of them.
+    feats = enumerate_features_cube(4, 2, 2, 1.0, 1e6)
+    x = Stream(22).uniform_matrix(16, 4, low=-1.0, high=1.0)
+    budget = 256
+    monkeypatch.setattr(features, "_BLOCK_ENTRY_BUDGET", budget)
+    widest = max(_level_widths("cube", 4, 2, 2))
+    assert widest > budget
+    with _silence_low_r():
+        features.eval_features(feats, x[:1])  # compile and cache the plan
+        tracemalloc.start()
+        try:
+            design = features.eval_features(feats, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < design.nbytes + 10 * max(budget, widest) * design.itemsize
 
 
 @st.composite

@@ -169,7 +169,7 @@ def test_hat_block_within_bound(R, M):
 def test_hat_block_requires_resolution_and_scale():
     with pytest.raises(ParameterError):
         f_hat(0.0, 0.0, BlockParams(R=1e6, a=1.0))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="relu block requires R"):
         f_hat(0.0, 0.0, BlockParams(R=0.5, a=1.0, M=4))
 
 
