@@ -33,6 +33,12 @@ def _default_beta(scale, n):
     return scale * max(1.0, math.log(n))
 
 
+def _check_beta(beta):
+    """beta is None or what from_json_dict accepts: positive and finite."""
+    if beta is not None and not (math.isfinite(beta) and beta > 0):
+        raise ParameterError(f"beta must be positive and finite, got {beta!r}")
+
+
 def _theory_degree_cap(n, smoothness, N):
     """Check n and p; N defaults to floor(p), and a smaller N warns."""
     if n < 2:
@@ -78,6 +84,7 @@ class SmoothConfig:
             raise ParameterError("penalty must be positive")
         if not self.R > 0:
             raise ParameterError("scale R must be positive")
+        _check_beta(self.beta)
         object.__setattr__(self, "R", netblocks.clamp_scale(self.R))
 
     @classmethod
@@ -133,6 +140,7 @@ class PPConfig:
             raise ParameterError("need at least one trial")
         if self.selection not in _SELECTION_MODES:
             raise ParameterError(f"selection must be one of {_SELECTION_MODES}")
+        _check_beta(self.beta)
         object.__setattr__(self, "R", netblocks.clamp_scale(self.R))
 
     @classmethod

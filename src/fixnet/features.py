@@ -584,14 +584,21 @@ def eval_exact_target_pp(x, f):
 
 
 def scale_lower_bound(f):
-    """Smallest R for which the feature's guaranteed error bound applies."""
+    """Smallest R for which the feature's guaranteed error bound applies.
+
+    math.inf when a power in the bound overflows: no finite R meets it.
+    """
     prof = admissibility_constants()
     w = f.half_width if f.kind == "cube" else f.amplitude
+    try:
+        taylor_term = ((20.0 * prof.sup_d3 / (3.0 * abs(prof.d2_at_sq)))
+                       * 3.0 ** (3 * 3 ** f.s) * w ** (3 * 2 ** f.s))
+    except OverflowError:
+        taylor_term = math.inf
     terms = [
         prof.sup_d2 * (f.M + 1) / (2.0 * prof.d1_at_id),
         9.0 * prof.sup_d2 * w / prof.d1_at_id,
-        (20.0 * prof.sup_d3 / (3.0 * abs(prof.d2_at_sq)))
-        * 3.0 ** (3 * 3 ** f.s) * w ** (3 * 2 ** f.s),
+        taylor_term,
     ]
     hat_term = prof.hat_constant * f.M ** 3
     if f.kind == "line":

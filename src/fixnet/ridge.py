@@ -7,7 +7,8 @@ features phi_1..phi_J and data (x_i, y_i), the coefficient vector solves
 
 whose normal equations (B^T B + penalty I) a = B^T y are symmetric
 positive definite for any penalty > 0 and are solved by a Cholesky
-factorization.
+factorization.  The LAPACK routines come from the OpenBLAS that numpy
+already links (fixnet._lapack), so a fit never imports scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import features as feat
+from . import _lapack, features as feat
 from .errors import ParameterError, SolverError
 
 # Relative residual ceiling for an accepted solve; one step of iterative
@@ -83,29 +84,26 @@ class RidgeSolution:
 def _spd_solver(mat):
     """Factor an SPD matrix once; return (solve closure, condition estimate).
 
-    Falls back to pivoted elimination when the Cholesky factorization
-    reports the matrix as not positive definite; raises SolverError when
-    that fails too.
+    The calls are those of scipy's cho_factor (upper, uncleaned), dpocon
+    and cho_solve, made through fixnet._lapack on the LAPACK of numpy's
+    own OpenBLAS; where the two libraries share their kernels, as the
+    tests check, the bits are scipy's.  When dpotrf finds the matrix not
+    positive definite, pivoted LU (dgetrf, dgetrs) takes over with a
+    condition number from np.linalg.cond; an exactly zero LU pivot
+    raises SolverError.
     """
-    import scipy.linalg  # here, so importing the package does not load scipy
-    anorm = np.linalg.norm(mat, 1)
-    try:
-        factor = scipy.linalg.cho_factor(mat, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    lapack = _lapack.routines()
+    factor, info = lapack.potrf(mat)
+    if info > 0:
         cond = float(np.linalg.cond(mat, 1))
-        try:
-            lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise SolverError(
-                "normal equations could not be factorized",
-                condition_estimate=cond,
-            ) from exc
-        return (lambda v: scipy.linalg.lu_solve((lu, piv), v,
-                                                check_finite=False)), cond
-    rcond, info = scipy.linalg.lapack.dpocon(factor[0], anorm)
+        lu, piv, info = lapack.getrf(mat)
+        if info > 0:
+            raise SolverError("normal equations could not be factorized",
+                              condition_estimate=cond)
+        return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
+    rcond, info = lapack.pocon(factor, np.linalg.norm(mat, 1))
     cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
-    return (lambda v: scipy.linalg.cho_solve(factor, v,
-                                             check_finite=False)), cond
+    return (lambda v: lapack.potrs(factor, v)[0]), cond
 
 
 def _refined_solve(mat, rhs, solve, cond):

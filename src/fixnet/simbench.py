@@ -258,6 +258,10 @@ class BenchConfig:
         known = set(self.methods) - set(_METHOD_FITTERS)
         if known:
             raise ParameterError(f"unknown methods: {sorted(known)}")
+        for key in ("eval_n", "reps", "ref_realizations"):
+            if getattr(self, key) < 1:
+                raise ParameterError(
+                    f"{key} must be at least 1, got {getattr(self, key)!r}")
 
     def trials_for(self, target_name, noise):
         for (cell_target, cell_noise), reduced in self.trial_overrides:

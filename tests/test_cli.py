@@ -199,18 +199,42 @@ def test_predict_rejects_invalid_model_documents(tmp_path, capsys, edit, message
     assert not out_csv.exists()
 
 
-def test_importing_the_cli_does_not_load_scipy():
-    # Only the ridge solve and the radial-basis fit need scipy; predict
-    # and approx-check processes should not pay for importing it.
+def _run_python(code, *args):
     repo = Path(__file__).resolve().parents[1]
-    code = ("import sys, fixnet.cli; "
-            "sys.exit(1 if 'scipy' in sys.modules else 0)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # Only the radial-basis baseline of bench needs scipy; every other
+    # process should not pay for importing it.
+    proc = _run_python("import sys, fixnet.cli; "
+                       "sys.exit(1 if 'scipy' in sys.modules else 0)")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
+
+
+def test_fits_do_not_load_scipy(tmp_path):
+    # The ridge solve takes its LAPACK from numpy's own library.  The
+    # projection fit solves a primal system (9 features, 16 rows), the
+    # smooth fit a dual one (27 features).
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    runs = []
+    for name, doc in (("pp", FAST_FIT),
+                      ("smooth", {"estimator": "smooth", "N": 1, "M": 2})):
+        config = _write_config(tmp_path / f"{name}.json", doc)
+        runs.append(["fit", "--config", config, "--input", str(train),
+                     "--output", str(tmp_path / f"{name}-model.json")])
+    proc = _run_python(
+        "import json, sys; from fixnet import cli; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+        "sys.exit(3 if 'scipy' in sys.modules else max(codes))",
+        json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr or "scipy was imported"
+    assert (tmp_path / "smooth-model.json").exists()
 
 
 def test_every_exported_name_resolves():
@@ -285,6 +309,36 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
     assert not model.exists()
 
 
+@pytest.mark.parametrize("edit", [
+    {"beta": -1},
+    {"beta": 0},
+    {"A": 1e300},
+    {"estimator": "smooth", "N": 1, "M": 2, "a": 1e300},
+])
+def test_fit_configs_out_of_range_exit_0_or_2(tmp_path, capsys, edit):
+    # A negative beta once gave a model that predict refused, and a huge
+    # A or a overflowed the low-R advisory's bound with a traceback.
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    config = _write_config(tmp_path / "fit.json", {**FAST_FIT, **edit})
+    model = tmp_path / "model.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["fit", "--config", config, "--input", str(train),
+                     "--output", str(model)])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        if "beta" in edit:
+            assert code == 2 and "beta must be positive and finite" in err
+        if code == 2:
+            assert not model.exists()
+            return
+        query = tmp_path / "query.csv"
+        _write_query_csv(query, [(0.1, -0.2)])
+        assert main(["predict", "--model", str(model), "--input", str(query),
+                     "--output", str(tmp_path / "out.csv")]) == 0
+
+
 def test_integral_floats_are_accepted_for_integer_keys(tmp_path, capsys):
     train = tmp_path / "train.csv"
     _write_training_csv(train)
@@ -340,6 +394,22 @@ def test_command_config_values_that_do_not_convert_exit_2(
     assert main([command, "--config", config, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"config key '{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"eval_n": 0}, "eval_n"),
+    ({"eval_n": -5}, "eval_n"),
+    ({"reps": 0}, "reps"),
+    ({"ref_realizations": 0}, "ref_realizations"),
+])
+def test_bench_counts_below_one_exit_2(tmp_path, capsys, edit, key):
+    config = _write_config(tmp_path / "c.json", edit)
+    out = tmp_path / "out"
+    assert main(["bench", "--quick", "--config", config,
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be at least 1")
     assert not out.exists()
 
 

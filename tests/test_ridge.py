@@ -1,13 +1,17 @@
 """Tests for design-matrix construction and the ridge output-layer solve."""
 
 import contextlib
+import ctypes
 import tracemalloc
 import warnings
 
+import _ctypes
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixnet import ridge
+from fixnet import _lapack, ridge
 from fixnet.activation import admissibility_constants
 from fixnet.errors import ParameterError, SolverError
 from fixnet.features import (
@@ -216,16 +220,15 @@ def test_lu_fallback_is_reachable_and_passes_the_audit(monkeypatch):
     # exact arithmetic.  For this draw, rounding leaves Cholesky a last
     # pivot <= 0 but LU a tiny nonzero one, so the pivoted LU fallback
     # runs and its solve passes the residual gate.
-    import scipy.linalg
-
+    routines = _lapack.routines()
     shapes = []
-    lu_factor = scipy.linalg.lu_factor
+    getrf = routines.getrf
 
-    def spy(mat, *args, **kwargs):
+    def spy(mat):
         shapes.append(mat.shape)
-        return lu_factor(mat, *args, **kwargs)
+        return getrf(mat)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", spy)
+    monkeypatch.setattr(routines, "getrf", spy)
     gen = np.random.default_rng(3)
     b = gen.standard_normal((6, 3))
     b[:, 2] = b[:, 1]
@@ -233,6 +236,90 @@ def test_lu_fallback_is_reachable_and_passes_the_audit(monkeypatch):
     sol = ridge_solve(b, y, 1e-20)
     assert shapes == [(3, 3)]
     assert coefficient_bound_audit(sol, y)
+
+
+def _spd(n, seed):
+    gen = np.random.default_rng(seed)
+    b = gen.standard_normal((n + 3, n))
+    return b.T @ b + 0.1 * np.eye(n), gen.standard_normal(n)
+
+
+def _assert_cholesky_is_scipys(mat, rhs, cond_rtol=0.0):
+    import scipy.linalg
+
+    factor, lower = scipy.linalg.cho_factor(mat, lower=False, check_finite=False)
+    rcond, info = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(mat, 1))
+    assert info == 0 and rcond > 0
+    want = scipy.linalg.cho_solve((factor, lower), rhs, check_finite=False)
+    got_factor, info = _lapack.routines().potrf(mat)
+    assert info == 0 and _bitwise_equal(got_factor, factor)
+    solve, cond = ridge._spd_solver(mat)
+    assert abs(cond - 1.0 / rcond) <= cond_rtol * cond
+    assert _bitwise_equal(solve(rhs), want)
+
+
+@settings(max_examples=64, derandomize=True, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_cholesky_path_is_bitwise_scipys(n, seed):
+    # The fingerprint pins rest on this: numpy's OpenBLAS gives the bits
+    # of scipy's cho_factor, dpocon and cho_solve.
+    _assert_cholesky_is_scipys(*_spd(n, seed))
+
+
+def test_cholesky_path_is_bitwise_scipys_at_the_smooth_fit_width():
+    # J = 1,215 is the primal system of a smooth fit, factored on the
+    # threaded path of both libraries.  From a few hundred rows on,
+    # dpocon's estimate moves in its last bits with the 64-byte alignment
+    # of its work array, in either library, so only it gets a tolerance.
+    _assert_cholesky_is_scipys(*_spd(1215, 1215),
+                               cond_rtol=64 * np.finfo(float).eps)
+
+
+@settings(max_examples=32, derandomize=True, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_lu_path_matches_scipy(n, seed):
+    # numpy and scipy ship different OpenBLAS releases, whose dgetrf can
+    # differ in the last bit, so LU agrees in its pivots and to rounding.
+    import scipy.linalg
+
+    mat, rhs = _spd(n, seed)
+    lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
+    want = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    routines = _lapack.routines()
+    got_lu, got_piv, info = routines.getrf(mat)
+    assert info == 0 and np.array_equal(got_piv - 1, piv)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got_lu - lu)) <= 64 * eps * np.max(np.abs(lu))
+    got = routines.getrs(got_lu, got_piv, rhs)[0]
+    assert np.linalg.norm(got - want) <= 1e3 * n * eps * np.linalg.norm(want)
+
+
+def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
+    # A library that exports none of the known names gets the
+    # scipy.linalg.lapack routines, the wrappers behind cho_factor,
+    # cho_solve, lu_factor and lu_solve.
+    import scipy.linalg
+
+    fallback = _lapack.bind(ctypes.CDLL(_ctypes.__file__))
+    assert fallback.getrf is scipy.linalg.lapack.dgetrf
+    mat, rhs = _spd(40, 7)
+    solve, cond = ridge._spd_solver(mat)
+    monkeypatch.setattr(_lapack, "routines", lambda: fallback)
+    fb_solve, fb_cond = ridge._spd_solver(mat)
+    assert fb_cond == cond and _bitwise_equal(fb_solve(rhs), solve(rhs))
+    lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
+    fb_lu, fb_piv, info = fallback.getrf(mat)
+    assert info == 0 and _bitwise_equal(fb_lu, lu)
+    assert _bitwise_equal(fallback.getrs(fb_lu, fb_piv, rhs)[0],
+                          scipy.linalg.lu_solve((lu, piv), rhs))
+
+
+def test_a_zero_lu_pivot_raises_solver_error():
+    # All-ones is singular in exact arithmetic too: Cholesky and LU both
+    # meet an exact zero pivot.
+    with pytest.raises(SolverError, match="could not be factorized") as exc:
+        ridge._spd_solver(np.ones((2, 2)))
+    assert exc.value.condition_estimate == np.inf
 
 
 def test_design_matrix_wrapper_properties():
