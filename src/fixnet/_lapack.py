@@ -3,11 +3,10 @@
 numpy's linear-algebra extension links an OpenBLAS that exports LAPACK,
 and dlsym on the extension's handle also searches that library, so the
 routines are bound through ctypes from the library numpy has already
-loaded.  Names are tried in this order: scipy_<routine>_64_ (numpy >= 2
-wheels) and <routine>_64_, both with 64-bit integers, then <routine>_
-with 32-bit ones.  When none resolves, the routines come from
-scipy.linalg.lapack, the f2py wrappers that cho_factor, cho_solve,
-lu_factor and lu_solve call.
+loaded, under the names numpy >= 2 wheels export: scipy_<routine>_64_,
+with 64-bit integers.  Where the library lacks any of them, the routines
+come from scipy.linalg.lapack, the f2py wrappers that cho_factor,
+cho_solve, lu_factor and lu_solve call.
 
 Either binding offers potrf(a), pocon(c, anorm), potrs(c, b), getrf(a)
 and getrs(lu, piv, b) for float64 matrices and right-hand-side vectors,
@@ -23,35 +22,33 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-_SCHEMES = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
-            ("{}_", ctypes.c_int32))
+_NAME = "scipy_{}_64_"
 # Pointer arguments of each routine; a hidden Fortran length follows each
 # of its character arguments (one for each routine but dgetrf).
 _ARITY = {"dpotrf": 5, "dpocon": 9, "dpotrs": 8, "dgetrf": 6, "dgetrs": 9}
 
 
 def bind(lib):
-    """The routines of the first naming scheme lib exports, else scipy's."""
-    for pattern, int_t in _SCHEMES:
-        try:
-            fns = {name: getattr(lib, pattern.format(name)) for name in _ARITY}
-        except AttributeError:
-            continue
-        for name, fn in fns.items():
-            fn.argtypes = ([ctypes.c_void_p] * _ARITY[name]
-                           + [ctypes.c_size_t] * (name != "dgetrf"))
-            fn.restype = None
-        return _ctypes_routines(fns, int_t)
-    from scipy.linalg import lapack  # only where numpy's library lacks them
-    return SimpleNamespace(
-        potrf=functools.partial(lapack.dpotrf, lower=0, clean=0),
-        pocon=functools.partial(lapack.dpocon, uplo="U"),
-        potrs=functools.partial(lapack.dpotrs, lower=0),
-        getrf=lapack.dgetrf,
-        getrs=functools.partial(lapack.dgetrs, trans=0))
+    """The routines lib exports under scipy_<routine>_64_, else scipy's."""
+    try:
+        fns = {name: getattr(lib, _NAME.format(name)) for name in _ARITY}
+    except AttributeError:
+        from scipy.linalg import lapack  # only where numpy's library lacks them
+        return SimpleNamespace(
+            potrf=functools.partial(lapack.dpotrf, lower=0, clean=0),
+            pocon=functools.partial(lapack.dpocon, uplo="U"),
+            potrs=functools.partial(lapack.dpotrs, lower=0),
+            getrf=lapack.dgetrf,
+            getrs=functools.partial(lapack.dgetrs, trans=0))
+    for name, fn in fns.items():
+        fn.argtypes = ([ctypes.c_void_p] * _ARITY[name]
+                       + [ctypes.c_size_t] * (name != "dgetrf"))
+        fn.restype = None
+    return _ctypes_routines(fns)
 
 
-def _ctypes_routines(fns, int_t):
+def _ctypes_routines(fns):
+    int_t = ctypes.c_int64
     ref = ctypes.byref
     one = ref(int_t(1))
 

@@ -33,10 +33,11 @@ def _default_beta(scale, n):
     return scale * max(1.0, math.log(n))
 
 
-def _check_beta(beta):
-    """beta is None or what from_json_dict accepts: positive and finite."""
-    if beta is not None and not (math.isfinite(beta) and beta > 0):
-        raise ParameterError(f"beta must be positive and finite, got {beta!r}")
+def _check_positive_finite(key, value):
+    """The one rule for beta and the model document's scales."""
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{key} must be positive and finite, got {value!r}")
+    return value
 
 
 def _theory_degree_cap(n, smoothness, N):
@@ -84,7 +85,8 @@ class SmoothConfig:
             raise ParameterError("penalty must be positive")
         if not self.R > 0:
             raise ParameterError("scale R must be positive")
-        _check_beta(self.beta)
+        if self.beta is not None:
+            _check_positive_finite("beta", self.beta)
         object.__setattr__(self, "R", netblocks.clamp_scale(self.R))
 
     @classmethod
@@ -140,7 +142,8 @@ class PPConfig:
             raise ParameterError("need at least one trial")
         if self.selection not in _SELECTION_MODES:
             raise ParameterError(f"selection must be one of {_SELECTION_MODES}")
-        _check_beta(self.beta)
+        if self.beta is not None:
+            _check_positive_finite("beta", self.beta)
         object.__setattr__(self, "R", netblocks.clamp_scale(self.R))
 
     @classmethod
@@ -389,10 +392,7 @@ def _is_number(value, kinds=(int, float)):
 
 
 def _document_positive(doc, key):
-    value = float(doc[key])
-    if not (math.isfinite(value) and value > 0):
-        raise ParameterError(f"{key} must be positive and finite, got {doc[key]!r}")
-    return value
+    return _check_positive_finite(key, float(doc[key]))
 
 
 def from_json_dict(doc):

@@ -309,30 +309,31 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
     assert not model.exists()
 
 
-@pytest.mark.parametrize("edit", [
-    {"beta": -1},
-    {"beta": 0},
-    {"A": 1e300},
-    {"estimator": "smooth", "N": 1, "M": 2, "a": 1e300},
+@pytest.mark.parametrize("edit, expected, message", [
+    ({"beta": -1}, 2, "beta must be positive and finite"),
+    ({"beta": 0}, 2, "beta must be positive and finite"),
+    # No finite R meets the bound, so the low-R advisory fires.
+    ({"A": 1e300}, 0, None),
+    # The cube design is not finite.
+    ({"estimator": "smooth", "N": 1, "M": 2, "a": 1e300}, 2, "error:"),
 ])
-def test_fit_configs_out_of_range_exit_0_or_2(tmp_path, capsys, edit):
+def test_fit_configs_out_of_range(tmp_path, capsys, edit, expected, message):
     # A negative beta once gave a model that predict refused, and a huge
     # A or a overflowed the low-R advisory's bound with a traceback.
     train = tmp_path / "train.csv"
     _write_training_csv(train)
     config = _write_config(tmp_path / "fit.json", {**FAST_FIT, **edit})
     model = tmp_path / "model.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
         code = main(["fit", "--config", config, "--input", str(train),
                      "--output", str(model)])
         err = capsys.readouterr().err
-        assert code in (0, 2) and "Traceback" not in err
-        if "beta" in edit:
-            assert code == 2 and "beta must be positive and finite" in err
+        assert code == expected and "Traceback" not in err
         if code == 2:
-            assert not model.exists()
+            assert message in err and not model.exists()
             return
+        assert any("scale R is below" in str(w.message) for w in caught)
         query = tmp_path / "query.csv"
         _write_query_csv(query, [(0.1, -0.2)])
         assert main(["predict", "--model", str(model), "--input", str(query),
