@@ -1,4 +1,5 @@
-"""The five LAPACK routines of the ridge solve, without importing scipy.
+"""The LAPACK routines of the ridge solve and the RBF baseline, without
+importing scipy.
 
 numpy's linear-algebra extension links an OpenBLAS that exports LAPACK,
 and dlsym on the extension's handle also searches that library, so the
@@ -6,13 +7,16 @@ routines are bound through ctypes from the library numpy has already
 loaded, under the names numpy >= 2 wheels export: scipy_<routine>_64_,
 with 64-bit integers.  Where the library lacks any of them, the routines
 come from scipy.linalg.lapack, the f2py wrappers that cho_factor,
-cho_solve, lu_factor and lu_solve call.
+cho_solve, lu_factor, lu_solve and solve(assume_a="sym") call.
 
-Either binding offers potrf(a), pocon(c, anorm), potrs(c, b), getrf(a)
-and getrs(lu, piv, b) for float64 matrices and right-hand-side vectors,
-called and returning as those wrappers do with the upper triangle, no
-cleaning of the other one and no transpose.  Inputs are copied, never
-overwritten.  Pivots are opaque: 1-based here, 0-based from scipy.
+Either binding offers potrf(a), pocon(c, anorm), potrs(c, b), getrf(a),
+getrs(lu, piv, b), sytrf(a) and sytrs(ldu, piv, b) for float64 matrices
+and right-hand-side vectors, called and returning as those wrappers do
+with the upper triangle, no cleaning of the other one and no transpose;
+sytrf takes the workspace size from an lwork = -1 query.  Inputs are
+copied, never overwritten.  LU pivots are opaque: 1-based here, 0-based
+from scipy.  Work arrays start on a 64-byte boundary, because dpocon's
+estimate of a large matrix moves in its last bits with their alignment.
 """
 
 import ctypes
@@ -25,7 +29,8 @@ from numpy.linalg import _umath_linalg
 _NAME = "scipy_{}_64_"
 # Pointer arguments of each routine; a hidden Fortran length follows each
 # of its character arguments (one for each routine but dgetrf).
-_ARITY = {"dpotrf": 5, "dpocon": 9, "dpotrs": 8, "dgetrf": 6, "dgetrs": 9}
+_ARITY = {"dpotrf": 5, "dpocon": 9, "dpotrs": 8, "dgetrf": 6, "dgetrs": 9,
+          "dsytrf": 8, "dsytrs": 9}
 
 
 def bind(lib):
@@ -34,17 +39,32 @@ def bind(lib):
         fns = {name: getattr(lib, _NAME.format(name)) for name in _ARITY}
     except AttributeError:
         from scipy.linalg import lapack  # only where numpy's library lacks them
+
+        def sytrf(a):
+            lwork, _ = lapack.dsytrf_lwork(a.shape[0], lower=0)
+            return lapack.dsytrf(a, lower=0, lwork=int(lwork))
+
         return SimpleNamespace(
             potrf=functools.partial(lapack.dpotrf, lower=0, clean=0),
             pocon=functools.partial(lapack.dpocon, uplo="U"),
             potrs=functools.partial(lapack.dpotrs, lower=0),
             getrf=lapack.dgetrf,
-            getrs=functools.partial(lapack.dgetrs, trans=0))
+            getrs=functools.partial(lapack.dgetrs, trans=0),
+            sytrf=sytrf,
+            sytrs=functools.partial(lapack.dsytrs, lower=0))
     for name, fn in fns.items():
         fn.argtypes = ([ctypes.c_void_p] * _ARITY[name]
                        + [ctypes.c_size_t] * (name != "dgetrf"))
         fn.restype = None
     return _ctypes_routines(fns)
+
+
+def _aligned_empty(count, dtype=float):
+    """An uninitialized 1-D array whose data starts on a 64-byte boundary."""
+    size = count * np.dtype(dtype).itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype)
 
 
 def _ctypes_routines(fns):
@@ -58,7 +78,16 @@ def _ctypes_routines(fns):
         return info.value
 
     def sizes(a):  # n and the leading dimension, by reference
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
         return ref(int_t(a.shape[0])), ref(int_t(max(1, a.shape[0])))
+
+    def rhs(b, a):  # the copy of b that the solve overwrites
+        x = np.array(b, dtype=float)
+        if x.shape != a.shape[:1]:
+            raise ValueError(f"expected a vector of {a.shape[0]}, "
+                             f"got shape {x.shape}")
+        return x
 
     def potrf(a):
         c = np.array(a, dtype=float, order="F")
@@ -68,15 +97,15 @@ def _ctypes_routines(fns):
     def pocon(c, anorm):
         n, ld = sizes(c)
         rcond = ctypes.c_double()
-        work = np.empty(3 * c.shape[0])
-        iwork = np.empty(c.shape[0], dtype=int_t)
+        work = _aligned_empty(3 * c.shape[0])
+        iwork = _aligned_empty(c.shape[0], int_t)
         info = call("dpocon", b"U", n, c.ctypes.data, ld,
                     ref(ctypes.c_double(anorm)), ref(rcond),
                     work.ctypes.data, iwork.ctypes.data)
         return rcond.value, info
 
     def potrs(c, b):
-        x = np.array(b, dtype=float)
+        x = rhs(b, c)
         n, ld = sizes(c)
         return x, call("dpotrs", b"U", n, one, c.ctypes.data, ld,
                        x.ctypes.data, ld)
@@ -89,13 +118,31 @@ def _ctypes_routines(fns):
         return lu, piv, info
 
     def getrs(lu, piv, b):
-        x = np.array(b, dtype=float)
+        x = rhs(b, lu)
         n, ld = sizes(lu)
         return x, call("dgetrs", b"N", n, one, lu.ctypes.data, ld,
                        piv.ctypes.data, x.ctypes.data, ld)
 
+    def sytrf(a):
+        ldu = np.array(a, dtype=float, order="F")
+        n, ld = sizes(ldu)
+        piv = np.empty(ldu.shape[0], dtype=int_t)
+        args = (b"U", n, ldu.ctypes.data, ld, piv.ctypes.data)
+        query = ctypes.c_double()
+        call("dsytrf", *args, ref(query), ref(int_t(-1)))
+        lwork = max(1, int(query.value))
+        work = _aligned_empty(lwork)
+        info = call("dsytrf", *args, work.ctypes.data, ref(int_t(lwork)))
+        return ldu, piv, info
+
+    def sytrs(ldu, piv, b):
+        x = rhs(b, ldu)
+        n, ld = sizes(ldu)
+        return x, call("dsytrs", b"U", n, one, ldu.ctypes.data, ld,
+                       piv.ctypes.data, x.ctypes.data, ld)
+
     return SimpleNamespace(potrf=potrf, pocon=pocon, potrs=potrs,
-                           getrf=getrf, getrs=getrs)
+                           getrf=getrf, getrs=getrs, sytrf=sytrf, sytrs=sytrs)
 
 
 @functools.cache

@@ -38,13 +38,18 @@ _SUP_GRID_PAD = 1e-7
 
 def sigma(x):
     """Logistic squasher 1/(1 + exp(-x)), evaluated branch-wise so neither
-    tail overflows.  Accepts scalars or arrays."""
+    tail overflows.  Accepts scalars or arrays.
+
+    With e = exp(-|x|), the value is 1/(1 + e) where x >= 0 and
+    e/(1 + e) elsewhere: the bits of the two-branch form, computed
+    without gathering either branch.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.abs(x, out=np.empty_like(x))
+    np.exp(np.negative(e, out=e), out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    out = np.divide(e, den, out=e)
     if out.ndim == 0:
         return float(out)
     return out

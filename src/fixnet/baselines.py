@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .data import Dataset
 from .errors import ParameterError, SolverError
 from .rng import Stream
@@ -162,24 +163,38 @@ def max_pairwise_distance(x):
     return float(np.sqrt(np.max(_sq_dists(x, x))))
 
 
+def _symmetric_solve(k, y):
+    """scipy.linalg.solve(k, y, assume_a="sym"), bit for bit, without scipy.
+
+    Like it, a 1 x 1 system is divided and a larger one goes through the
+    symmetric-indefinite factorization of its upper triangle (dsytrf,
+    dsytrs from fixnet._lapack).  An exactly zero pivot raises
+    SolverError.
+    """
+    if k.shape[0] == 1 and k[0, 0] != 0:
+        return y / k[0]
+    lapack = _lapack.routines()
+    ldu, piv, info = lapack.sytrf(k)
+    if info > 0:
+        raise SolverError("radial-basis system could not be solved",
+                          condition_estimate=np.linalg.cond(k, 1))
+    return lapack.sytrs(ldu, piv, y)[0]
+
+
 def rbf_interpolant(data, radius):
     """Interpolant in the span of Wendland bumps at the training points.
 
     A 1e-10 diagonal jitter keeps the system solvable when points nearly
     coincide; the kernel matrix is not guaranteed definite in higher
-    dimensions, so a pivoted solve is used and failures raise SolverError.
+    dimensions, so a pivoted symmetric solve (_symmetric_solve) is used,
+    and a singular system or non-finite weights raise SolverError.
     """
     data = _as_dataset(data)
     if not radius > 0:
         raise ParameterError("radius must be positive")
     r = np.sqrt(_sq_dists(data.x, data.x)) / radius
     k = _wendland(r) + _RBF_JITTER * np.eye(data.n)
-    import scipy.linalg  # here, so importing the package does not load scipy
-    try:
-        weights = scipy.linalg.solve(k, data.y, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SolverError("radial-basis system could not be solved",
-                          condition_estimate=np.linalg.cond(k, 1)) from exc
+    weights = _symmetric_solve(k, data.y)
     if not np.all(np.isfinite(weights)):
         raise SolverError("radial-basis solve produced non-finite weights",
                           condition_estimate=np.linalg.cond(k, 1))

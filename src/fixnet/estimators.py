@@ -260,6 +260,9 @@ def fit_pp(data, config):
     if not isinstance(data, Dataset):
         data = Dataset(np.asarray(data[0]), np.asarray(data[1]))
     xc = _clamped_inputs(data, config.A, "fit_pp")
+    # The count check of enumerate_features_pp, made before any r x d
+    # direction draw, so an absurd r fails without allocating.
+    feat._checked_count("line", data.d, config.N, config.M, config.r)
 
     trace = []
     best = None

@@ -530,10 +530,11 @@ def eval_features(fs, xb):
     eval_feature(xb, fs[j]) bit for bit.  The module docstring describes
     the plan that computes it.  Rows are folded in blocks of at most
     max(1, _BLOCK_ENTRY_BUDGET // widest) rows, widest being the widest
-    level of the plan, so besides the result and the (n, V) leaf table a
-    block holds at most ten arrays of max(_BLOCK_ENTRY_BUDGET, widest)
-    entries: one-row blocks when J exceeds the budget, whose temporaries
-    are the order of one design row.
+    level of the plan, so besides the result and the (n, V) leaf table
+    the fold holds seven buffers of at most max(_BLOCK_ENTRY_BUDGET,
+    widest) entries, which every block reuses: one-row blocks when J
+    exceeds the budget, whose temporaries are the order of one design
+    row.
     """
     r = 1 if fs.kind == "cube" else len(fs.directions)
     folds = _plan(fs.kind, fs.d, fs.degree_cap, fs.M, r)
@@ -544,14 +545,30 @@ def eval_features(fs, xb):
         return table[:, :len(fs)].copy()
     n = xb.shape[0]
     out = np.empty((n, len(fs)))
-    step = max(1, _BLOCK_ENTRY_BUDGET // max(left.size for left, _ in folds))
+    widest = max(left.size for left, _ in folds)
+    step = max(1, _BLOCK_ENTRY_BUDGET // widest)
+    # The temporaries of every block live in these buffers.  Allocated
+    # per block, arrays of this size come from mmap or from a heap top
+    # that free() trims, depending on the heap's layout, and then every
+    # block faults their pages in again.
+    buffers = np.empty((7, min(step, n) * widest))
+
+    def buffer(i, shape):
+        return buffers[i, :shape[0] * shape[1]].reshape(shape)
+
     for start in range(0, n, step):
         rows = slice(start, start + step)
         values = table[rows]
         for level, (left, right) in enumerate(folds, 1):
+            shape = (values.shape[0], left.size)
+            # mode="clip" (the indices are in range) keeps np.take from
+            # gathering into a temporary of its own first.
+            x = np.take(values, left, axis=1, mode="clip", out=buffer(0, shape))
+            y = np.take(values, right, axis=1, mode="clip", out=buffer(1, shape))
             values = netblocks.f_mult(
-                np.take(values, left, axis=1), np.take(values, right, axis=1),
-                params, out=out[rows] if level == len(folds) else None)
+                x, y, params,
+                out=out[rows] if level == len(folds) else buffer(2, shape),
+                scratch=[buffer(i, shape) for i in range(3, 7)])
     return out
 
 

@@ -168,7 +168,7 @@ def _second_diff_into(z, m, e, ze, t, dest):
     np.divide(t, e, out=dest)
 
 
-def f_mult(x, y, params, out=None):
+def f_mult(x, y, params, out=None, scratch=None):
     """Product block.
 
     (R^2 / (4*sigma''(1))) * (sigma(2u+1) - 2*sigma(u+1) - sigma(2v+1) + 2*sigma(v+1))
@@ -180,9 +180,11 @@ def f_mult(x, y, params, out=None):
     float for 0-d inputs, is returned.  The value is bitwise
     _sigma_second_diff(1, u) - _sigma_second_diff(1, v) times the scale,
     computed in place in four scratch arrays that the u and v halves
-    share.  The halves hand expm1 (x+y)/(-R) and (y-x)/R: IEEE division
-    and subtraction are sign-symmetric, so these are exactly -u and -v,
-    up to the sign of a zero v, which m*m squares away.
+    share: scratch, four arrays of the result's shape overlapping none of
+    x, y and out, or new ones when it is None.  The halves hand expm1
+    (x+y)/(-R) and (y-x)/R: IEEE division and subtraction are
+    sign-symmetric, so these are exactly -u and -v, up to the sign of a
+    zero v, which m*m squares away.
     """
     prof = admissibility_constants()
     R = params.R
@@ -190,7 +192,8 @@ def f_mult(x, y, params, out=None):
     y = np.asarray(y, dtype=float)
     shape = np.broadcast(x, y).shape
     result = np.empty(shape) if out is None else out
-    m, e, ze, t = (np.empty(shape) for _ in range(4))
+    m, e, ze, t = (scratch if scratch is not None
+                   else [np.empty(shape) for _ in range(4)])
     z = np.exp(-prof.t_sigma)
     np.add(x, y, out=m)
     np.divide(m, -R, out=m)

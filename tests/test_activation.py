@@ -32,6 +32,32 @@ def test_sigma_no_overflow_in_tails():
     assert vals[0] >= 0.0 and vals[-1] <= 1.0
 
 
+def _masked_sigma(x):
+    """The two-branch form, gathering each branch through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigma_is_bitwise_the_masked_two_branch_form():
+    gen = np.random.default_rng(4)
+    specials = np.array([0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 800.0,
+                         -800.0, np.inf, -np.inf])
+    for x in (gen.standard_normal(2**15), 30.0 * gen.standard_normal(2**15),
+              gen.uniform(-800.0, 800.0, 2**15), specials):
+        got = sigma(x)
+        assert np.array_equal(got.view(np.int64), _masked_sigma(x).view(np.int64))
+    assert [sigma(v) for v in specials[:2]] == [0.5, 0.5]
+    assert [sigma(v) for v in specials[-2:]] == [1.0, 0.0]
+    # NaN in, NaN out (the sign bit of a NaN is not pinned).
+    out = sigma(np.array([np.nan, 1.0, -np.nan]))
+    assert np.isnan(out[0]) and np.isnan(out[2]) and out[1] == sigma(1.0)
+    assert math.isnan(sigma(math.nan))
+
+
 def test_sigma_monotone_and_symmetric():
     xs = np.linspace(-30.0, 30.0, 4001)
     vals = sigma(xs)

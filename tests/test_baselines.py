@@ -1,8 +1,14 @@
 """Tests for the comparison estimators and holdout-split selection."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fixnet import baselines
 from fixnet.baselines import (
     KERNEL_BANDWIDTH_GRID,
     RBF_EXPONENT_GRID,
@@ -18,7 +24,7 @@ from fixnet.baselines import (
     select_by_split,
 )
 from fixnet.data import Dataset
-from fixnet.errors import ParameterError
+from fixnet.errors import ParameterError, SolverError
 from fixnet.rng import Stream
 
 
@@ -88,6 +94,46 @@ def test_rbf_interpolates_training_points():
     assert pred(np.array([50.0, 50.0])) == 0.0
     with pytest.raises(ParameterError):
         rbf_interpolant(data, 0.0)
+
+
+def _scipy_sym_solve(k, y):
+    with warnings.catch_warnings():  # ill-conditioned draws warn
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        return scipy.linalg.solve(k, y, assume_a="sym")
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(n=st.integers(1, 129), d=st.integers(1, 7),
+       exponent=st.sampled_from(RBF_EXPONENT_GRID), seed=st.integers(0, 2**16))
+def test_rbf_weights_are_bitwise_scipys_symmetric_solve(n, d, exponent, seed):
+    # The benchmark report pins rest on this: the weights are those of
+    # scipy.linalg.solve(assume_a="sym"), on the Wendland systems the
+    # baseline builds and on symmetric indefinite matrices.
+    gen = np.random.default_rng(seed)
+    x = gen.uniform(-1.0, 1.0, (n, d))
+    y = gen.standard_normal(n)
+    radius = 2.0**exponent * (max_pairwise_distance(x) or 1.0)
+    r = np.sqrt(baselines._sq_dists(x, x)) / radius
+    k = baselines._wendland(r) + baselines._RBF_JITTER * np.eye(n)
+    weights = rbf_interpolant(Dataset(x, y), radius).weights
+    assert _bitwise_equal(weights, _scipy_sym_solve(k, y))
+    g = gen.standard_normal((n, n))
+    a = g + g.T
+    assert _bitwise_equal(baselines._symmetric_solve(a, y), _scipy_sym_solve(a, y))
+
+
+@pytest.mark.parametrize("k", [np.zeros((1, 1)), np.ones((2, 2)), np.zeros((3, 3))])
+def test_exactly_singular_symmetric_system_raises_solver_error(k):
+    y = np.ones(k.shape[0])
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.solve(k, y, assume_a="sym")
+    with pytest.raises(SolverError, match="could not be solved") as exc:
+        baselines._symmetric_solve(k, y)
+    assert exc.value.condition_estimate == np.inf
 
 
 def test_select_by_split_sizes_and_determinism():

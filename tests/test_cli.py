@@ -1,15 +1,22 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import functools
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixnet import ridge
 from fixnet.estimators import load_estimator, predict
@@ -209,17 +216,16 @@ def _run_python(code, *args):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # Only the radial-basis baseline of bench needs scipy; every other
-    # process should not pay for importing it.
     proc = _run_python("import sys, fixnet.cli; "
                        "sys.exit(1 if 'scipy' in sys.modules else 0)")
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
-def test_fits_do_not_load_scipy(tmp_path):
-    # The ridge solve takes its LAPACK from numpy's own library.  The
-    # projection fit solves a primal system (9 features, 16 rows), the
-    # smooth fit a dual one (27 features).
+def test_fits_and_bench_do_not_load_scipy(tmp_path):
+    # The ridge solve and the RBF baseline take their LAPACK from numpy's
+    # own library.  The projection fit solves a primal system (9
+    # features, 16 rows), the smooth fit a dual one (27 features); the
+    # bench run fits the RBF baseline over its radius grid.
     train = tmp_path / "train.csv"
     _write_training_csv(train)
     runs = []
@@ -228,6 +234,11 @@ def test_fits_do_not_load_scipy(tmp_path):
         config = _write_config(tmp_path / f"{name}.json", doc)
         runs.append(["fit", "--config", config, "--input", str(train),
                      "--output", str(tmp_path / f"{name}-model.json")])
+    bench = _write_config(tmp_path / "bench.json", {
+        "targets": ["m2"], "noises": [0.05], "methods": ["rbf", "proj-neural"],
+        "n": 25, "eval_n": 50, "reps": 1, "trials": 2, "ref_realizations": 1,
+        "proj_m_grid": [2]})
+    runs.append(["bench", "--config", bench, "--output", str(tmp_path / "bench")])
     proc = _run_python(
         "import json, sys; from fixnet import cli; "
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
@@ -235,6 +246,8 @@ def test_fits_do_not_load_scipy(tmp_path):
         json.dumps(runs))
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
     assert (tmp_path / "smooth-model.json").exists()
+    report = (tmp_path / "bench" / "bench_report.csv").read_text()
+    assert ",rbf," in report and ",proj-neural," in report
 
 
 def test_every_exported_name_resolves():
@@ -580,3 +593,159 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # every per-group node once per group reads 2,176 (64 + 54 tree
     # products per row).
     assert metrics["netblocks.f_mult_elems"] == 16 * (18 + 40 + 54)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed exit-code contract of fit and predict
+# ---------------------------------------------------------------------------
+
+# JSON values that no config key or model field should turn into a crash:
+# numbers at the extremes (json writes and reads NaN and Infinity), and
+# values of the wrong type.
+_ODD_NUMBERS = (0, -1, 1.5, 5e-324, 1e-300, 1e300, -1e308,
+                1.7976931348623157e308, 2**63, 10**400, math.inf, -math.inf,
+                math.nan)
+_ODD_VALUES = _ODD_NUMBERS + ("", "2", "nan", True, False, None, [], [1],
+                              {"a": 1})
+# Usable values are small, so every fit that runs stays cheap.  The
+# counts r, N and M get the odd numbers too, which the feature-count
+# check must refuse before anything is allocated; trials gets none of
+# the huge ones, because a huge trial count is a valid, long fit.
+_SMALL_VALUES = {
+    "r": (1, 2), "N": (0, 1, 2), "M": (0, 1, 3), "trials": (1, 2),
+    "R": (1e3, 1e6), "A": (0.5, 1.0), "a": (0.5, 1.0),
+    "penalty": (1e-6, 1.0, 1e3), "beta": (None, 0.5, 10.0),
+    "seed": (0, 2**64 + 5), "selection": ("penalized", "risk"),
+}
+_ODD_SMALL_VALUES = tuple(v for v in _ODD_VALUES
+                          if not (isinstance(v, (int, float)) and abs(v) > 1e3))
+
+_PROJECTION_KEYS = ("r", "N", "M", "R", "A", "penalty", "beta", "trials",
+                    "seed", "selection")
+_SMOOTH_KEYS = ("N", "M", "R", "a", "penalty", "beta")
+
+
+@st.composite
+def _fit_configs(draw):
+    # Usable values for a few keys and odd ones for one or two, so that
+    # most configs get past conversion and an odd value meets the fit.
+    kind = draw(st.sampled_from(("projection",) * 4 + ("smooth",) * 4
+                                + ("other",)))
+    keys = _SMOOTH_KEYS if kind == "smooth" else _PROJECTION_KEYS
+    doc = {key: draw(st.sampled_from(_SMALL_VALUES[key]))
+           for key in draw(st.lists(st.sampled_from(keys), unique=True))}
+    odd_count = draw(st.sampled_from((0, 1, 1, 2)))
+    for key in draw(st.lists(st.sampled_from(keys), min_size=odd_count,
+                             max_size=odd_count, unique=True)):
+        doc[key] = draw(st.sampled_from(_ODD_SMALL_VALUES if key == "trials"
+                                        else _ODD_VALUES))
+    if kind == "smooth":
+        doc["estimator"] = "smooth"
+    elif kind == "other":
+        doc["estimator"] = draw(st.sampled_from(_ODD_VALUES))
+    return doc
+
+
+@st.composite
+def _training_csvs(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    cell = st.sampled_from((-1.0, -0.5, 0.0, 0.25, 1.0, 3.0))
+    rows = draw(st.lists(st.lists(cell, min_size=d + 1, max_size=d + 1),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):  # a constant column
+        col = draw(st.integers(0, d))
+        for row in rows:
+            row[col] = rows[0][col]
+    header = ",".join([f"x{i + 1}" for i in range(d)] + ["y"])
+    return d, "\n".join([header] + [",".join(map(repr, row)) for row in rows])
+
+
+def _run_main(argv):
+    """cli.main's exit code and stderr; any exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_predict_contract(model, d, tmp, accepted):
+    query = tmp / "query.csv"
+    query.write_text(",".join(f"x{i + 1}" for i in range(d))
+                     + "\n" + "0.1," * (d - 1) + "-0.2\n")
+    out = tmp / "pred.csv"
+    code, err = _run_main(["predict", "--model", str(model), "--input",
+                           str(query), "--output", str(out)])
+    assert "Traceback" not in err
+    assert (code == 0) if accepted else (code in (0, 2)), err
+    assert out.exists() == (code == 0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(doc=_fit_configs(), csv=_training_csvs())
+def test_fuzzed_fit_configs_exit_0_or_2(doc, csv):
+    d, text = csv
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        (tmp / "train.csv").write_text(text + "\n")
+        config = _write_config(tmp / "fit.json", doc)
+        model = tmp / "model.json"
+        code, err = _run_main(["fit", "--config", config, "--input",
+                               str(tmp / "train.csv"), "--output", str(model)])
+        assert "Traceback" not in err
+        assert code in (0, 2), err
+        assert model.exists() == (code == 0)
+        if code == 0:  # predict accepts every model fit writes
+            _assert_predict_contract(model, d, tmp, accepted=True)
+
+
+@functools.cache
+def _fitted_documents():
+    from fixnet.data import Dataset
+    from fixnet.estimators import (PPConfig, SmoothConfig, fit_pp, fit_smooth,
+                                   to_json_dict)
+
+    x = Stream(5).uniform_matrix(12, 2, low=-1.0, high=1.0)
+    data = Dataset(x, x[:, 0] - x[:, 1] ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return (to_json_dict(fit_pp(data, PPConfig(r=2, N=1, M=2, trials=2))),
+                to_json_dict(fit_smooth(data, SmoothConfig(N=1, M=2))))
+
+
+# The keys that say what the document is are mutated less often, so
+# most documents reach the checks of the numbers and the feature build.
+_MODEL_KEYS = ("schema", "model", "kind") + 3 * (
+    "d", "N", "M", "R", "domain_half", "penalty", "beta", "coefficients",
+    "training_objective", "seed", "selection", "selection_trace",
+    "directions")
+
+
+@st.composite
+def _model_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_fitted_documents()))))
+    for _ in range(draw(st.sampled_from((1, 1, 2)))):
+        key = draw(st.sampled_from(_MODEL_KEYS))
+        how = draw(st.sampled_from(("set", "delete", "item")))
+        if how == "delete":
+            doc.pop(key, None)
+        elif how == "item" and isinstance(doc.get(key), list) and doc[key]:
+            items = doc[key]
+            items[draw(st.integers(0, len(items) - 1))] = draw(
+                st.sampled_from(_ODD_VALUES + ("1e400", [[0.5, 0.5]])))
+        else:
+            doc[key] = draw(st.sampled_from(
+                _ODD_VALUES + ("projection", "smooth", 1, 2, 3, [[1.0, 0.0]])))
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(doc=_model_documents())
+def test_fuzzed_model_documents_exit_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        model = tmp / "model.json"
+        model.write_text(json.dumps(doc))
+        _assert_predict_contract(model, 2, tmp, accepted=False)

@@ -418,9 +418,10 @@ def test_cube_design_is_bitwise_the_oracle_on_every_column():
 
 def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
     # The widest level (1,215 roots) exceeds the budget, so rows are
-    # folded one at a time.  Besides the design, a block holds at most
-    # ten arrays of max(budget, widest) entries; the leaf table of 16
-    # rows (16 x 25 values) is smaller than one of them.
+    # folded one at a time.  Besides the design, the fold holds seven
+    # buffers of max(budget, widest) entries that every block reuses
+    # (the bound allows ten); the leaf table of 16 rows (16 x 25 values)
+    # is smaller than one of them.
     feats = enumerate_features_cube(4, 2, 2, 1.0, 1e6)
     x = Stream(22).uniform_matrix(16, 4, low=-1.0, high=1.0)
     budget = 256

@@ -2,8 +2,12 @@
 
 import contextlib
 import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import _ctypes
 import numpy as np
@@ -270,9 +274,44 @@ def test_cholesky_path_is_bitwise_scipys_at_the_smooth_fit_width():
     # J = 1,215 is the primal system of a smooth fit, factored on the
     # threaded path of both libraries.  From a few hundred rows on,
     # dpocon's estimate moves in its last bits with the 64-byte alignment
-    # of its work array, in either library, so only it gets a tolerance.
+    # of its work array.  fixnet._lapack aligns it and scipy does not, so
+    # only the estimate gets a tolerance.
     _assert_cholesky_is_scipys(*_spd(1215, 1215),
                                cond_rtol=64 * np.finfo(float).eps)
+
+
+def _estimates_under_heap_layouts():
+    """dpocon's estimate of the n = 1,215 factor, with the heap shifted by
+    16 bytes more before each call: a work array from plain malloc starts
+    at another 64-byte offset each time."""
+    mat, _ = _spd(1215, 1215)
+    routines = _lapack.routines()
+    factor, info = routines.potrf(mat)
+    assert info == 0
+    anorm = np.linalg.norm(mat, 1)
+    held, estimates = [], []
+    for k in range(8):
+        held.append(np.empty(3 * 1215 * 8 + 16 * k, dtype=np.uint8))
+        estimates.append(routines.pocon(factor, anorm)[0])
+    return estimates
+
+
+def test_condition_estimate_does_not_depend_on_the_heap_layout():
+    estimates = _estimates_under_heap_layouts()
+    assert len(set(estimates)) == 1, estimates
+    # Hash randomization changes a process's heap layout too.
+    tests_dir = Path(__file__).resolve().parent
+    path = [str(tests_dir.parent / "src"), str(tests_dir),
+            os.environ.get("PYTHONPATH")]
+    code = ("import test_ridge; "
+            "print(set(map(repr, test_ridge._estimates_under_heap_layouts())))")
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr({repr(estimates[0])})
 
 
 @settings(max_examples=32, derandomize=True, deadline=None)
@@ -312,6 +351,28 @@ def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
     assert info == 0 and _bitwise_equal(fb_lu, lu)
     assert _bitwise_equal(fallback.getrs(fb_lu, fb_piv, rhs)[0],
                           scipy.linalg.lu_solve((lu, piv), rhs))
+    # The symmetric-indefinite pair of the RBF baseline, on a matrix with
+    # 2 x 2 pivots; both bindings give LAPACK's 1-based pivots.
+    sym = mat - np.trace(mat) / 40 * np.eye(40)
+    ldu, piv, info = _lapack.routines().sytrf(sym)
+    fb_ldu, fb_piv, fb_info = fallback.sytrf(sym)
+    assert info == fb_info == 0 and np.any(piv < 0)
+    assert _bitwise_equal(fb_ldu, ldu) and np.array_equal(fb_piv, piv)
+    want = _lapack.routines().sytrs(ldu, piv, rhs)[0]
+    assert _bitwise_equal(fallback.sytrs(fb_ldu, fb_piv, rhs)[0], want)
+
+
+def test_bound_routines_refuse_shapes_lapack_would_overrun():
+    # The routines take n from the matrix, so a non-square matrix or a
+    # right-hand side of another length must not reach the library.
+    routines = _lapack.routines()
+    ldu, piv, info = routines.sytrf(np.eye(3))
+    with pytest.raises(ValueError, match="square"):
+        routines.sytrf(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="vector of 3"):
+        routines.sytrs(ldu, piv, np.ones(2))
+    with pytest.raises(ValueError, match="vector of 3"):
+        routines.potrs(np.eye(3), np.ones(4))
 
 
 def test_a_zero_lu_pivot_raises_solver_error():
