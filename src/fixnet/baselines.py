@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .data import Dataset
+from .data import as_dataset
 from .errors import ParameterError, SolverError
 from .rng import Stream
 
@@ -125,15 +125,9 @@ class RbfPredictor:
         return float(out[0]) if single else out
 
 
-def _as_dataset(data):
-    if isinstance(data, Dataset):
-        return data
-    return Dataset(np.asarray(data[0]), np.asarray(data[1]))
-
-
 def constant_avg(data):
     """The trivial estimator: the average response, everywhere."""
-    data = _as_dataset(data)
+    data = as_dataset(data)
     return ConstantPredictor(np.mean(data.y), data.d)
 
 
@@ -143,7 +137,7 @@ def nadaraya_watson(data, bandwidth):
     Queries with no training point within the bandwidth fall back to the
     global response average, keeping the predictor total.
     """
-    data = _as_dataset(data)
+    data = as_dataset(data)
     if not bandwidth > 0:
         raise ParameterError("bandwidth must be positive")
     return KernelPredictor(data.x, data.y, bandwidth)
@@ -151,7 +145,7 @@ def nadaraya_watson(data, bandwidth):
 
 def knn(data, k):
     """k-nearest-neighbor average; distance ties break by training index."""
-    data = _as_dataset(data)
+    data = as_dataset(data)
     if not 1 <= k <= data.n:
         raise ParameterError(f"k must be in [1, {data.n}]")
     return NeighborPredictor(data.x, data.y, k)
@@ -189,7 +183,7 @@ def rbf_interpolant(data, radius):
     dimensions, so a pivoted symmetric solve (_symmetric_solve) is used,
     and a singular system or non-finite weights raise SolverError.
     """
-    data = _as_dataset(data)
+    data = as_dataset(data)
     if not radius > 0:
         raise ParameterError("radius must be positive")
     r = np.sqrt(_sq_dists(data.x, data.x)) / radius
@@ -221,7 +215,7 @@ def select_by_split(data, fit_fn, grid, seed):
     scores on the rest; ties keep the earliest grid value, and the winning
     predictor is returned as fitted on the learning part without refitting.
     """
-    data = _as_dataset(data)
+    data = as_dataset(data)
     grid = tuple(grid)
     if not grid:
         raise ParameterError("selection grid is empty")
@@ -260,7 +254,7 @@ def fit_kernel_selected(data, seed):
 
 def fit_neighbor_selected(data, seed):
     """Nearest-neighbor baseline with k selected on a holdout split."""
-    data = _as_dataset(data)
+    data = as_dataset(data)
     n_learn = max(1, min(data.n - 1, int(0.8 * data.n)))
     grid = neighbor_count_grid(data.n - n_learn, n_learn)
     sel = select_by_split(data, knn, grid, seed)

@@ -43,6 +43,13 @@ class Dataset:
         return Dataset(self.x[rows], self.y[rows])
 
 
+def as_dataset(data):
+    """data itself if it is a Dataset, else the Dataset of its pair (x, y)."""
+    if isinstance(data, Dataset):
+        return data
+    return Dataset(data[0], data[1])
+
+
 class CsvFormatError(ParameterError):
     pass
 

@@ -22,10 +22,11 @@ from typing import Optional
 import numpy as np
 
 from . import features as feat, netblocks, ridge, rng
-from .data import Dataset
+from .data import as_dataset
 from .errors import EstimatorError, ParameterError, SolverError
 
 _SELECTION_MODES = ("penalized", "risk")
+_MODEL_KINDS = {"cube": "smooth", "line": "projection"}
 
 
 def _default_beta(scale, n):
@@ -165,23 +166,43 @@ class PPConfig:
 
 @dataclass(frozen=True)
 class FittedEstimator:
-    """A trained estimator: fixed features plus learned output weights."""
+    """A trained estimator: fixed features plus learned output weights.
 
-    kind: str
-    d: int
-    N: int
-    M: int
-    R: float
-    domain_half: float
-    penalty: float
-    beta: float
+    It holds only what a fit produces.  The enumeration parameters are
+    read from the FeatureSet: kind ("smooth" for a cube set, "projection"
+    for a line set), d, N, M, R, domain_half (the cube half width a, or
+    the projection amplitude A), directions (a tuple of r rows, None for
+    a cube set) and width, the feature count.  selection_trace, seed and
+    selection are set by projection fits only.
+    """
+
     features: feat.FeatureSet
     coefficients: np.ndarray
+    penalty: float
+    beta: float
     training_objective: float
-    directions: Optional[tuple] = None
     selection_trace: Optional[tuple] = None
     seed: Optional[int] = None
     selection: Optional[str] = None
+
+    d = property(operator.attrgetter("features.d"))
+    N = property(operator.attrgetter("features.degree_cap"))
+    M = property(operator.attrgetter("features.M"))
+    R = property(operator.attrgetter("features.R"))
+
+    @property
+    def kind(self):
+        return _MODEL_KINDS[self.features.kind]
+
+    @property
+    def domain_half(self):
+        fs = self.features
+        return fs.half_width if fs.kind == "cube" else fs.amplitude
+
+    @property
+    def directions(self):
+        rows = self.features.directions
+        return None if rows is None else tuple(map(tuple, rows.tolist()))
 
     @property
     def width(self):
@@ -204,31 +225,30 @@ def _clamped_inputs(data, half, label):
     return x
 
 
+def _fitted(data, config, feats, solution, **selection):
+    """The last step of both fits: audit the solution, resolve beta."""
+    if not ridge.coefficient_bound_audit(solution, data.y):
+        raise EstimatorError("coefficient bound audit failed after fit")
+    beta = config.beta if config.beta is not None else _default_beta(10.0, data.n)
+    return FittedEstimator(
+        features=feats,
+        coefficients=solution.coefficients,
+        penalty=config.penalty,
+        beta=float(beta),
+        training_objective=solution.objective,
+        **selection,
+    )
+
+
 def fit_smooth(data, config):
     """Fit the anchor-grid estimator; only the output layer is learned."""
-    if not isinstance(data, Dataset):
-        data = Dataset(np.asarray(data[0]), np.asarray(data[1]))
+    data = as_dataset(data)
     xc = _clamped_inputs(data, config.a, "fit_smooth")
     feats = feat.enumerate_features_cube(data.d, config.N, config.M,
                                          config.a, config.R)
     design = ridge.build_design_matrix(feats, xc)
     solution = ridge.ridge_solve(design, data.y, config.penalty)
-    if not ridge.coefficient_bound_audit(solution, data.y):
-        raise EstimatorError("coefficient bound audit failed after fit")
-    beta = config.beta if config.beta is not None else _default_beta(10.0, data.n)
-    return FittedEstimator(
-        kind="smooth",
-        d=data.d,
-        N=config.N,
-        M=config.M,
-        R=config.R,
-        domain_half=config.a,
-        penalty=config.penalty,
-        beta=float(beta),
-        features=feats,
-        coefficients=solution.coefficients,
-        training_objective=solution.objective,
-    )
+    return _fitted(data, config, feats, solution)
 
 
 def sample_directions(stream, r, d):
@@ -241,11 +261,12 @@ def sample_directions(stream, r, d):
 
 
 def _pp_trial_design(xc, d, config, trial):
+    """The design of trial t; its feature_order holds the directions."""
     stream = rng.Stream(config.seed).child(trial)
     directions = sample_directions(stream, config.r, d)
     feats = feat.enumerate_features_pp(d, config.N, config.M, config.A,
                                        config.R, directions)
-    return directions, ridge.build_design_matrix(feats, xc)
+    return ridge.build_design_matrix(feats, xc)
 
 
 def fit_pp(data, config):
@@ -257,8 +278,7 @@ def fit_pp(data, config):
     fit bit-for-bit reproducible.  Trials whose solve fails are recorded
     as infinite in the selection trace and skipped.
     """
-    if not isinstance(data, Dataset):
-        data = Dataset(np.asarray(data[0]), np.asarray(data[1]))
+    data = as_dataset(data)
     xc = _clamped_inputs(data, config.A, "fit_pp")
     # The count check of enumerate_features_pp, made before any r x d
     # direction draw, so an absurd r fails without allocating.
@@ -267,7 +287,7 @@ def fit_pp(data, config):
     trace = []
     best = None
     for trial in range(config.trials):
-        directions, design = _pp_trial_design(xc, data.d, config, trial)
+        design = _pp_trial_design(xc, data.d, config, trial)
         try:
             solution = ridge.ridge_solve(design, data.y, config.penalty)
         except SolverError:
@@ -280,33 +300,15 @@ def fit_pp(data, config):
                                           solution.coefficients, 0.0)
         trace.append(score)
         if best is None or score < best[0]:
-            best = (score, trial, directions, design.feature_order, solution)
+            best = (score, design.feature_order, solution)
 
     if best is None:
         raise EstimatorError(
             f"all {config.trials} direction trials failed to solve"
         )
-    _, _, directions, feats, solution = best
-    if not ridge.coefficient_bound_audit(solution, data.y):
-        raise EstimatorError("coefficient bound audit failed after fit")
-    beta = config.beta if config.beta is not None else _default_beta(10.0, data.n)
-    return FittedEstimator(
-        kind="projection",
-        d=data.d,
-        N=config.N,
-        M=config.M,
-        R=config.R,
-        domain_half=config.A,
-        penalty=config.penalty,
-        beta=float(beta),
-        features=feats,
-        coefficients=solution.coefficients,
-        training_objective=solution.objective,
-        directions=tuple(tuple(row) for row in directions),
-        selection_trace=tuple(trace),
-        seed=config.seed,
-        selection=config.selection,
-    )
+    _, feats, solution = best
+    return _fitted(data, config, feats, solution, selection_trace=tuple(trace),
+                   seed=config.seed, selection=config.selection)
 
 
 # Cap on design-matrix entries held at once while predicting; larger
@@ -318,8 +320,10 @@ _PREDICT_ENTRY_BUDGET = 2**24
 def predict(estimator, x):
     """Evaluate the estimator, truncating predictions to [-beta, beta].
 
-    Inputs outside the training cube are evaluated as-is; every feature is
-    total, so predictions stay finite everywhere.  Large batches are
+    Inputs outside the training cube are evaluated as-is.  Predictions are
+    not always finite: a query far outside the cube (1e10 for a unit-cube
+    fit) or a tiny domain half width (1e-300) can overflow a feature into
+    NaN, which the clip to [-beta, beta] keeps.  Large batches are
     evaluated in row chunks to bound memory.  Chunking can change the last
     bits of a prediction: a row's value from one BLAS matrix-vector call
     depends on the row's place in the call (on a random 20,000 x 1,904
@@ -343,8 +347,7 @@ def predict(estimator, x):
 
 def empirical_l2_risk(estimator, data):
     """Mean squared prediction error on a dataset."""
-    if not isinstance(data, Dataset):
-        data = Dataset(np.asarray(data[0]), np.asarray(data[1]))
+    data = as_dataset(data)
     resid = data.y - predict(estimator, data.x)
     return float(resid @ resid / data.n)
 
@@ -383,10 +386,11 @@ def to_json_dict(estimator):
 
 
 def _document_int(doc, key, low):
-    value = operator.index(doc[key])
-    if value < low:
+    """An integer field; true and false are not integers here."""
+    value = doc[key]
+    if isinstance(value, bool) or operator.index(value) < low:
         raise ParameterError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
+    return operator.index(value)
 
 
 def _is_number(value, kinds=(int, float)):
@@ -404,10 +408,10 @@ def from_json_dict(doc):
     Features are reconstructed by re-running the deterministic enumeration,
     so the document only stores the enumeration parameters and directions.
     The document is checked before anything is built: d >= 1, N >= 0 and
-    M >= 0 are integers; R, domain_half, penalty and beta are positive
-    and finite; every coefficient is finite; the coefficient count equals
-    the feature count; selection_trace is null or a list of numbers; and
-    seed is null or an integer.  A document that fails raises
+    M >= 0 are integers, not booleans; R, domain_half, penalty and beta
+    are positive and finite; every coefficient is finite; the coefficient
+    count equals the feature count; selection_trace is null or a list of
+    numbers; and seed is null or an integer.  A document that fails raises
     ParameterError (FeatureCountError for an oversized feature grid).
     """
     if not isinstance(doc, dict) or doc.get("schema") != 1:
@@ -455,25 +459,16 @@ def from_json_dict(doc):
             f"coefficient count {len(coef)} does not match "
             f"feature count {count}"
         )
-    if directions is None:
-        feats = feat.enumerate_features_cube(d, n_deg, m_grid, half, r_scale)
-    else:
-        feats = feat.enumerate_features_pp(d, n_deg, m_grid, half, r_scale,
-                                           directions)
-        directions = tuple(tuple(row) for row in directions)
+    feats = (feat.enumerate_features_cube(d, n_deg, m_grid, half, r_scale)
+             if directions is None else
+             feat.enumerate_features_pp(d, n_deg, m_grid, half, r_scale,
+                                        directions))
     return FittedEstimator(
-        kind=kind,
-        d=d,
-        N=n_deg,
-        M=m_grid,
-        R=r_scale,
-        domain_half=half,
-        penalty=penalty,
-        beta=beta,
         features=feats,
         coefficients=coef,
+        penalty=penalty,
+        beta=beta,
         training_objective=training_objective,
-        directions=directions,
         selection_trace=trace,
         seed=seed,
         selection=doc.get("selection"),

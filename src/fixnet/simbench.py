@@ -300,7 +300,10 @@ def _fit_rbf(data, stream, config, trials):
     return pred
 
 
-def _fit_proj_neural(data, stream, config, trials):
+def _pp_candidate_fitter(config, trials, stream, label):
+    """The fit_candidate of select_by_split for the projection estimator of
+    a bench or rate config: grid count M, seeded by the stream's child
+    labelled f"{label}-M{M}"."""
     def fit_candidate(learn, m_value):
         conf = PPConfig(
             r=config.direction_count,
@@ -310,12 +313,17 @@ def _fit_proj_neural(data, stream, config, trials):
             A=config.domain_half,
             penalty=config.penalty,
             trials=trials,
-            seed=stream.child_label(f"proj-M{m_value}").seed,
+            seed=stream.child_label(f"{label}-M{m_value}").seed,
         )
         return fit_pp(learn, conf)
 
-    sel = baselines.select_by_split(data, fit_candidate, config.proj_m_grid,
-                                    stream.child_label("select").seed)
+    return fit_candidate
+
+
+def _fit_proj_neural(data, stream, config, trials):
+    sel = baselines.select_by_split(
+        data, _pp_candidate_fitter(config, trials, stream, "proj"),
+        config.proj_m_grid, stream.child_label("select").seed)
     return sel.predictor
 
 
@@ -576,23 +584,10 @@ def rate_experiment(config):
             y = truth(x) + config.noise_sd * stream.normals(n)
             x_eval = stream.child_label("eval").uniform_matrix(
                 config.eval_n, d, low=-1.0, high=1.0)
-
-            def fit_candidate(learn, m_value):
-                conf = PPConfig(
-                    r=config.direction_count,
-                    N=config.degree_cap,
-                    M=m_value,
-                    R=config.scale,
-                    A=config.domain_half,
-                    penalty=config.penalty,
-                    trials=config.trials,
-                    seed=stream.child_label(f"fit-M{m_value}").seed,
-                )
-                return fit_pp(learn, conf)
-
             sel = baselines.select_by_split(
-                Dataset(x, y), fit_candidate, config.m_grid,
-                stream.child_label("select").seed,
+                Dataset(x, y),
+                _pp_candidate_fitter(config, config.trials, stream, "fit"),
+                config.m_grid, stream.child_label("select").seed,
             )
             errs.append(float(np.mean(
                 (np.asarray(sel.predictor(x_eval)) - truth(x_eval)) ** 2

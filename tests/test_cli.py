@@ -563,6 +563,10 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     assert est.width == J
     assert metrics["features.descriptors"] == 2 * J
     assert metrics["estimators.trials"] == 2
+    # The tracer counts failed trials from the record's selection_trace,
+    # and the benchmark bounds predictions by the loaded model's beta.
+    assert metrics["estimators.trials_failed"] == 0
+    assert math.isfinite(est.beta)
     # The product entries this fit computes.  A rearranged plan computes
     # the same products, so the count holds; it reads less if the plan
     # stops calling through netblocks.f_mult, which is what the

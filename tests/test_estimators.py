@@ -232,6 +232,21 @@ def test_empirical_l2_risk_matches_manual_mean():
     )
 
 
+_MODEL_PARAMETERS = ("kind", "d", "N", "M", "R", "domain_half", "directions")
+
+
+def _assert_resaves_identically(est, path, tmp_path):
+    # The writer reads the model parameters from the loaded FeatureSet, so
+    # a second save must give the bytes the fit wrote, and the loaded
+    # record must report the fitted parameters.
+    loaded = load_estimator(path)
+    again = tmp_path / "again.json"
+    save_estimator(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    for name in _MODEL_PARAMETERS:
+        assert getattr(loaded, name) == getattr(est, name), name
+
+
 def test_serialization_round_trip(tmp_path):
     data = _toy_data(40, seed=14)
     with _quiet():
@@ -250,6 +265,7 @@ def test_serialization_round_trip(tmp_path):
     assert doc["schema"] == 1
     assert doc["model"] == "fixnet-estimator"
     assert len(doc["coefficients"]) == est.width
+    _assert_resaves_identically(est, path, tmp_path)
 
 
 def test_smooth_serialization_round_trip(tmp_path):
@@ -263,6 +279,7 @@ def test_smooth_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.coefficients, est.coefficients)
     with _quiet():
         assert predict(loaded, data.x[0]) == predict(est, data.x[0])
+    _assert_resaves_identically(est, path, tmp_path)
 
 
 def test_deserialization_rejects_malformed_documents(tmp_path):
@@ -301,6 +318,10 @@ def test_deserialization_rejects_malformed_documents(tmp_path):
     ("selection_trace", [True], "selection_trace must be null or a list"),
     ("seed", "x", "seed must be null or an integer"),
     ("seed", 1.5, "seed must be null or an integer"),
+    # JSON true is not the integer 1.
+    ("d", True, "d must be an integer >= 1"),
+    ("N", True, "N must be an integer >= 0"),
+    ("M", True, "M must be an integer >= 0"),
 ])
 def test_deserialization_rejects_out_of_range_fields(field, value, match):
     data = _toy_data(30, seed=17)
