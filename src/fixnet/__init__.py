@@ -4,8 +4,11 @@ Feature networks whose inner weights come from closed-form constructions
 approximate monomials, tents, and their products; only the linear output
 layer is learned, by regularized least squares.  The package provides the
 anchor-grid and projection estimators built from those features, classical
-baselines, and a reproducible simulation benchmark.
+baselines, and a reproducible simulation benchmark.  The benchmark's names
+and the baselines module load on first use.
 """
+
+import importlib
 
 from .activation import ActivationProfile, admissibility_constants, sigma, sigma_derivative
 from .netblocks import (BlockParams, R_SUPPORTED_MAX, bound_hat, bound_id,
@@ -28,11 +31,23 @@ from .features import (FeatureDescriptor, FeatureSet, architecture_summary,
 from .ridge import (DesignMatrix, RidgeSolution, build_design_matrix,
                     coefficient_bound_audit, objective_value, ridge_solve)
 from .rng import Stream, mix64, normal_icdf
-from .simbench import (BenchConfig, BenchmarkReport, RateConfig, RateResult,
-                       TARGETS, TargetSpec, eval_target, generate,
-                       rate_experiment, reference_error, run_benchmark,
-                       scaled_errors)
-from . import baselines
+
+# Only bench and rate run the simulation benchmark and the baselines, so
+# these names load their modules on first use (PEP 562) and a fit or
+# predict process never compiles or imports them.
+_SIMBENCH_NAMES = frozenset((
+    "BenchConfig", "BenchmarkReport", "RateConfig", "RateResult", "TARGETS",
+    "TargetSpec", "eval_target", "generate", "rate_experiment",
+    "reference_error", "run_benchmark", "scaled_errors"))
+
+
+def __getattr__(name):
+    if name in ("simbench", "baselines"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SIMBENCH_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.simbench"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from . import features as feat, netblocks, ridge, simbench
+from . import features as feat, netblocks, ridge
 from .netblocks import BlockParams
 from .data import load_x_csv, load_xy_csv
 from .errors import FixnetError
@@ -298,6 +298,8 @@ def cmd_predict(args):
 
 
 def cmd_bench(args):
+    from . import simbench
+
     file_cfg = _load_config_file(args.config)
     out_dir = _resolve(file_cfg, args, "output", ".")
     cls = simbench.BenchConfig
@@ -326,6 +328,8 @@ def cmd_bench(args):
 
 
 def cmd_rate(args):
+    from . import simbench
+
     file_cfg = _load_config_file(args.config)
     out_dir = _resolve(file_cfg, args, "output", ".")
     config = simbench.RateConfig(**_config_values(simbench.RateConfig,

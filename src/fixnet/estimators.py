@@ -14,8 +14,6 @@ import json
 import math
 import operator
 import warnings
-# Not used here: kept because perfbench/tracer.py wraps this module attribute.
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +25,17 @@ from .errors import EstimatorError, ParameterError, SolverError
 
 _SELECTION_MODES = ("penalized", "risk")
 _MODEL_KINDS = {"cube": "smooth", "line": "projection"}
+
+
+def __getattr__(name):
+    # No fit runs a process pool.  perfbench/tracer.py reads this name
+    # to subclass it and then rebinds it, so it resolves on that first
+    # read, and fit and predict processes never load concurrent.futures
+    # or multiprocessing.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _default_beta(scale, n):
@@ -212,11 +221,12 @@ class FittedEstimator:
         return predict(self, x)
 
 
-def _clamped_inputs(data, half, label):
-    x = data.x
+def _clamped_inputs(x, half, label, inputs="training inputs"):
+    """x clipped to the model's cube [-half, half]^d, with a warning if
+    any coordinate lies outside; the features are built for that cube."""
     if np.any(np.abs(x) > half):
         warnings.warn(
-            f"{label}: training inputs outside [-{half:g}, {half:g}]^d were "
+            f"{label}: {inputs} outside [-{half:g}, {half:g}]^d were "
             "clamped for feature evaluation",
             RuntimeWarning,
             stacklevel=3,
@@ -243,7 +253,7 @@ def _fitted(data, config, feats, solution, **selection):
 def fit_smooth(data, config):
     """Fit the anchor-grid estimator; only the output layer is learned."""
     data = as_dataset(data)
-    xc = _clamped_inputs(data, config.a, "fit_smooth")
+    xc = _clamped_inputs(data.x, config.a, "fit_smooth")
     feats = feat.enumerate_features_cube(data.d, config.N, config.M,
                                          config.a, config.R)
     design = ridge.build_design_matrix(feats, xc)
@@ -279,7 +289,7 @@ def fit_pp(data, config):
     as infinite in the selection trace and skipped.
     """
     data = as_dataset(data)
-    xc = _clamped_inputs(data, config.A, "fit_pp")
+    xc = _clamped_inputs(data.x, config.A, "fit_pp")
     # The count check of enumerate_features_pp, made before any r x d
     # direction draw, so an absurd r fails without allocating.
     feat._checked_count("line", data.d, config.N, config.M, config.r)
@@ -320,19 +330,26 @@ _PREDICT_ENTRY_BUDGET = 2**24
 def predict(estimator, x):
     """Evaluate the estimator, truncating predictions to [-beta, beta].
 
-    Inputs outside the training cube are evaluated as-is.  Predictions are
-    not always finite: a query far outside the cube (1e10 for a unit-cube
-    fit) or a tiny domain half width (1e-300) can overflow a feature into
-    NaN, which the clip to [-beta, beta] keeps.  Large batches are
-    evaluated in row chunks to bound memory.  Chunking can change the last
-    bits of a prediction: a row's value from one BLAS matrix-vector call
-    depends on the row's place in the call (on a random 20,000 x 1,904
-    design, 8,811-row chunks moved 8 rows by up to 4e-14), so the chunking
-    test allows 1e-12.  A (0, d) batch gives an empty array.
+    Queries are clamped to the model's cube [-h, h]^d, h = domain_half,
+    as fit clamps its training inputs, with a RuntimeWarning when any
+    coordinate lies outside; a non-finite query raises ParameterError
+    first.  So a query far outside the cube (1e10 for a unit-cube fit)
+    and a tiny h (1e-300) give finite predictions.  A huge h can still
+    overflow a feature into NaN inside the cube (a fit with A = 1e300
+    predicts NaN at (-1e300, 1e300)), and the clip to [-beta, beta]
+    keeps it.  Large batches are evaluated in row chunks to bound
+    memory.  Chunking can change the last bits of a prediction: a row's
+    value from one BLAS matrix-vector call depends on the row's place in
+    the call (on a random 20,000 x 1,904 design, 8,811-row chunks moved
+    8 rows by up to 4e-14), so the chunking test allows 1e-12.  A (0, d)
+    batch gives an empty array.
     """
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
     batch = np.atleast_2d(arr)
+    if not np.all(np.isfinite(batch)):  # the clamp would make inf finite
+        raise ParameterError("input batch contains non-finite values")
+    batch = _clamped_inputs(batch, estimator.domain_half, "predict", "queries")
     step = max(1, _PREDICT_ENTRY_BUDGET // max(estimator.width, 1))
     raw = np.empty(batch.shape[0])
     for i in range(0, batch.shape[0], step):

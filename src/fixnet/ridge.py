@@ -54,8 +54,8 @@ def build_design_matrix(features, x):
     values come from features.eval_features, whose column j equals
     eval_feature(x, features[j]) bit for bit; the features module
     docstring describes the plan.  A (0, d) batch gives a (0, J) matrix.
-    Points outside the approximation cube are evaluated as they are; the
-    fits clamp their inputs, and predict extrapolates on purpose.
+    Points outside the approximation cube are evaluated as they are;
+    the fits and predict clamp their inputs to the cube first.
     """
     if not isinstance(features, feat.FeatureSet):
         raise ParameterError("features must be a FeatureSet")

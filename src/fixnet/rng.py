@@ -15,8 +15,6 @@ Acklam's rational approximation (relative error < 1.2e-9), again for
 cross-language determinism; no platform RNG is involved anywhere.
 """
 
-import hashlib
-
 import numpy as np
 
 __all__ = ["Stream", "mix64"]
@@ -126,5 +124,7 @@ class Stream:
 
     def child_label(self, label):
         """Derived stream for a string label (stable across runs/platforms)."""
+        import hashlib  # here, so a process that draws no labels skips OpenSSL
+
         digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
         return Stream(mix64(self.seed ^ int.from_bytes(digest, "big")))

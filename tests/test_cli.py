@@ -206,6 +206,94 @@ def test_predict_rejects_invalid_model_documents(tmp_path, capsys, edit, message
     assert not out_csv.exists()
 
 
+def _fit_and_predict(tmp_path, config, rows, edit=None):
+    """Fit on tmp_path/train.csv, apply edit to the model document and
+    predict rows; returns the loaded model and the command's predictions."""
+    model = tmp_path / "model.json"
+    code, err = _run_main(["fit", "--config",
+                           _write_config(tmp_path / "fit.json", config),
+                           "--input", str(tmp_path / "train.csv"),
+                           "--output", str(model)])
+    assert code == 0, err
+    if edit:
+        model.write_text(json.dumps({**json.loads(model.read_text()), **edit}))
+    query = tmp_path / "query.csv"
+    d = len(rows[0])
+    query.write_text(",".join(f"x{i + 1}" for i in range(d)) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows))
+    out = tmp_path / "pred.csv"
+    code, err = _run_main(["predict", "--model", str(model), "--input",
+                           str(query), "--output", str(out)])
+    assert code == 0, err
+    return load_estimator(str(model)), _prediction_values(out)
+
+
+def _prediction_values(path):
+    """The values of a predictions CSV, below its comments and header."""
+    body = [ln for ln in path.read_text().split("\n")[:-1]
+            if not ln.startswith("#")]
+    return np.array([float(v) for v in body[1:]])
+
+
+# Each of the next three models predicted NaN with exit 0 when predict
+# evaluated queries as they are: netblocks.f_mult's expm1 overflowed, and
+# the clip to [-beta, beta] kept the NaN.
+
+def test_predict_clamps_a_far_query_to_the_model_cube(tmp_path):
+    _write_training_csv(tmp_path / "train.csv", n=40)
+    est, values = _fit_and_predict(
+        tmp_path, {"r": 1, "N": 1, "M": 2, "trials": 2},
+        [(1e10, 0.0), (-1e10, 0.0), (0.1, -0.2)])
+    assert np.all(np.isfinite(values)), values
+    assert np.all(np.abs(values) <= est.beta)
+    # A far query is predicted at its clamped point, with a warning that
+    # names queries; a query inside the cube is evaluated as it is.
+    with pytest.warns(RuntimeWarning, match=r"predict: queries outside "
+                      r"\[-1, 1\]\^d were clamped"):
+        far = predict(est, np.array([1e10, 0.0]))
+    assert far == predict(est, np.array([1.0, 0.0]))
+    inside = np.array([[0.1, -0.2], [1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = predict(est, inside)
+    raw = ridge.build_design_matrix(est.features, inside).values @ est.coefficients
+    assert np.array_equal(got, np.clip(raw, -est.beta, est.beta))
+
+
+def test_predict_of_a_one_row_fit_with_a_tiny_amplitude_is_finite(tmp_path):
+    (tmp_path / "train.csv").write_text("x1,y\n-1.0,-1.0\n")
+    _, values = _fit_and_predict(tmp_path, {"A": 1e-300}, [(-0.2,)])
+    assert np.all(np.isfinite(values)), values
+
+
+def test_predict_with_a_tiny_domain_half_is_finite(tmp_path):
+    _write_training_csv(tmp_path / "train.csv")
+    side = np.linspace(-1.0, 1.0, 9).tolist()
+    _, values = _fit_and_predict(tmp_path, FAST_FIT, list(zip(side, side)),
+                                 edit={"domain_half": "1e-300"})
+    assert values.shape == (9,) and np.all(np.isfinite(values)), values
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_predict_refuses_non_finite_queries(tmp_path, capsys, cell):
+    # The clamp would turn an infinite coordinate into a finite one, so
+    # predict checks finiteness before it.
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    model = tmp_path / "model.json"
+    config = _write_config(tmp_path / "fit.json", FAST_FIT)
+    assert main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)]) == 0
+    query = tmp_path / "query.csv"
+    query.write_text(f"x1,x2\n0.1,-0.2\n{cell},0.5\n")
+    out_csv = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--input", str(query),
+                 "--output", str(out_csv)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def _run_python(code, *args):
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -221,11 +309,9 @@ def test_importing_the_cli_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
 
 
-def test_fits_and_bench_do_not_load_scipy(tmp_path):
-    # The ridge solve and the RBF baseline take their LAPACK from numpy's
-    # own library.  The projection fit solves a primal system (9
-    # features, 16 rows), the smooth fit a dual one (27 features); the
-    # bench run fits the RBF baseline over its radius grid.
+def _fit_runs(tmp_path):
+    """argv lists of a projection fit (a primal solve: 9 features, 16
+    rows) and a smooth fit (a dual one: 27 features) on one CSV."""
     train = tmp_path / "train.csv"
     _write_training_csv(train)
     runs = []
@@ -234,11 +320,28 @@ def test_fits_and_bench_do_not_load_scipy(tmp_path):
         config = _write_config(tmp_path / f"{name}.json", doc)
         runs.append(["fit", "--config", config, "--input", str(train),
                      "--output", str(tmp_path / f"{name}-model.json")])
+    return runs
+
+
+def _tiny_bench_run(tmp_path):
+    """argv of a bench run that fits the RBF baseline over its radius
+    grid and the projection estimator; _assert_tiny_bench_report checks it."""
     bench = _write_config(tmp_path / "bench.json", {
         "targets": ["m2"], "noises": [0.05], "methods": ["rbf", "proj-neural"],
         "n": 25, "eval_n": 50, "reps": 1, "trials": 2, "ref_realizations": 1,
         "proj_m_grid": [2]})
-    runs.append(["bench", "--config", bench, "--output", str(tmp_path / "bench")])
+    return ["bench", "--config", bench, "--output", str(tmp_path / "bench")]
+
+
+def _assert_tiny_bench_report(tmp_path):
+    report = (tmp_path / "bench" / "bench_report.csv").read_text()
+    assert ",rbf," in report and ",proj-neural," in report
+
+
+def test_fits_and_bench_do_not_load_scipy(tmp_path):
+    # The ridge solve and the RBF baseline take their LAPACK from numpy's
+    # own library.
+    runs = _fit_runs(tmp_path) + [_tiny_bench_run(tmp_path)]
     proc = _run_python(
         "import json, sys; from fixnet import cli; "
         "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
@@ -246,8 +349,61 @@ def test_fits_and_bench_do_not_load_scipy(tmp_path):
         json.dumps(runs))
     assert proc.returncode == 0, proc.stderr or "scipy was imported"
     assert (tmp_path / "smooth-model.json").exists()
-    report = (tmp_path / "bench" / "bench_report.csv").read_text()
-    assert ",rbf," in report and ",proj-neural," in report
+    _assert_tiny_bench_report(tmp_path)
+
+
+def test_fit_and_predict_load_only_what_they_run(tmp_path):
+    # Only bench and rate run the benchmark and the baselines and draw
+    # labelled streams (hashlib, so OpenSSL), and no command starts a
+    # process pool.  A bench in the same process then loads the modules
+    # it needs on first use.
+    runs = _fit_runs(tmp_path)
+    query = tmp_path / "query.csv"
+    _write_query_csv(query, [(0.1, -0.2), (0.5, 0.5)])
+    runs.append(["predict", "--model", str(tmp_path / "pp-model.json"),
+                 "--input", str(query), "--output", str(tmp_path / "pred.csv")])
+    unloaded = ["fixnet.simbench", "fixnet.baselines", "concurrent.futures",
+                "multiprocessing", "hashlib", "scipy"]
+    proc = _run_python(
+        "import json, sys; from fixnet import cli; "
+        "runs, names = json.loads(sys.argv[1]), json.loads(sys.argv[2]); "
+        "codes = [cli.main(argv) for argv in runs]; "
+        "loaded = [m for m in names if m in sys.modules]; "
+        "codes.append(cli.main(json.loads(sys.argv[3]))); "
+        "print(json.dumps([codes, loaded]))",
+        json.dumps(runs), json.dumps(unloaded),
+        json.dumps(_tiny_bench_run(tmp_path)))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+    assert _prediction_values(tmp_path / "pred.csv").shape == (2,)
+    _assert_tiny_bench_report(tmp_path)
+
+
+def test_lazy_package_names_resolve():
+    # In a fresh process, so the names are resolved on first use.
+    proc = _run_python("""
+import concurrent.futures, sys
+import fixnet, fixnet.estimators
+assert "fixnet.simbench" not in sys.modules
+assert fixnet.run_benchmark is sys.modules["fixnet.simbench"].run_benchmark
+assert fixnet.simbench is sys.modules["fixnet.simbench"]
+assert fixnet.baselines is sys.modules["fixnet.baselines"]
+names = {}
+exec("from fixnet import *", names)
+assert [n for n in fixnet.__all__ if n not in names] == []
+assert (fixnet.estimators.ProcessPoolExecutor
+        is concurrent.futures.ProcessPoolExecutor)
+for module in (fixnet, fixnet.estimators):
+    try:
+        module.no_such_name
+    except AttributeError:
+        pass
+    else:
+        raise AssertionError(module)
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_exported_name_resolves():
@@ -579,6 +735,32 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
         for j, f in enumerate(est.features):
             assert np.array_equal(design.values[:, j], eval_feature(x, f)), j
 
+    # cmd_bench imports simbench when it runs, and the package resolves
+    # simbench, baselines and estimators.ProcessPoolExecutor on first
+    # use.  Each must be the object the tracer patched, or these spans
+    # read zero.
+    predict_dir = tmp_path / "predict"
+    predict_dir.mkdir()
+    query = predict_dir / "query.csv"
+    _write_query_csv(query, [(0.1, -0.2), (0.5, 0.5)])
+    bench_dir = tmp_path / "bench"
+    bench_dir.mkdir()
+    for run_dir, argv in (
+            (predict_dir, ["predict", "--model", str(model), "--input",
+                           str(query), "--output", str(predict_dir / "p.csv")]),
+            (bench_dir, _tiny_bench_run(bench_dir))):
+        proc = subprocess.run(tracer + [str(run_dir), "--"] + argv,
+                              cwd=run_dir, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    metrics, _ = perfbench_tracer.summarize(str(predict_dir))
+    assert metrics["estimators.predict_chunks"] >= 1
+    metrics, _ = perfbench_tracer.summarize(str(bench_dir))
+    _assert_tiny_bench_report(bench_dir)
+    assert metrics["baselines.select_calls"] > 0
+    assert metrics["simbench.reference_s"] > 0
+    assert metrics["estimators.pool_starts"] == 0
+
     smooth_dir = tmp_path / "smooth"
     smooth_dir.mkdir()
     _write_training_csv(smooth_dir / "train.csv")
@@ -676,15 +858,21 @@ def _run_main(argv):
 
 
 def _assert_predict_contract(model, d, tmp, accepted):
+    # The second query lies far outside any cube that fit uses here.
     query = tmp / "query.csv"
     query.write_text(",".join(f"x{i + 1}" for i in range(d))
-                     + "\n" + "0.1," * (d - 1) + "-0.2\n")
+                     + "\n" + "0.1," * (d - 1) + "-0.2\n"
+                     + "1e10" + ",0.1" * (d - 1) + "\n")
     out = tmp / "pred.csv"
     code, err = _run_main(["predict", "--model", str(model), "--input",
                            str(query), "--output", str(out)])
     assert "Traceback" not in err
     assert (code == 0) if accepted else (code in (0, 2)), err
     assert out.exists() == (code == 0)
+    if accepted:  # finite, and truncated to the model's [-beta, beta]
+        values = _prediction_values(out)
+        beta = load_estimator(str(model)).beta
+        assert values.shape == (2,) and np.all(np.abs(values) <= beta), values
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
