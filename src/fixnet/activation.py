@@ -36,6 +36,11 @@ _SUP_GRID_STEP = 1e-3
 _SUP_GRID_PAD = 1e-7
 
 
+def maybe_scalar(x):
+    """A float for a 0-d result, else x itself."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def sigma(x):
     """Logistic squasher 1/(1 + exp(-x)), evaluated branch-wise so neither
     tail overflows.  Accepts scalars or arrays.
@@ -49,10 +54,7 @@ def sigma(x):
     np.exp(np.negative(e, out=e), out=e)
     den = e + 1.0
     np.copyto(e, 1.0, where=x >= 0)
-    out = np.divide(e, den, out=e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return maybe_scalar(np.divide(e, den, out=e))
 
 
 def sigma_derivative(x, order):
@@ -74,9 +76,7 @@ def sigma_derivative(x, order):
         out = d1 * (1.0 - 2.0 * s)
     else:
         out = d1 * (1.0 - 6.0 * s + 6.0 * s * s)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return maybe_scalar(out)
 
 
 @dataclass(frozen=True)

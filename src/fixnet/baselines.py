@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .data import as_dataset
+from .data import as_batch, as_dataset
 from .errors import ParameterError, SolverError
 from .rng import Stream
 
@@ -38,15 +38,6 @@ def neighbor_count_grid(n_test, n_learn):
     return tuple(k for k in ks if k <= n_learn)
 
 
-def _as_batch(x, d):
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    batch = np.atleast_2d(arr)
-    if batch.shape[1] != d:
-        raise ParameterError(f"query points must have dimension {d}")
-    return batch, single
-
-
 def _sq_dists(queries, points):
     """Exact squared Euclidean distances, chunked to bound memory."""
     m = queries.shape[0]
@@ -66,7 +57,7 @@ class ConstantPredictor:
         self.d = d
 
     def __call__(self, x):
-        batch, single = _as_batch(x, self.d)
+        batch, single = as_batch(x, self.d)
         return self.value if single else np.full(batch.shape[0], self.value)
 
 
@@ -80,7 +71,7 @@ class KernelPredictor:
         self.fallback = float(np.mean(y))
 
     def __call__(self, q):
-        batch, single = _as_batch(q, self.x.shape[1])
+        batch, single = as_batch(q, self.x.shape[1])
         inside = _sq_dists(batch, self.x) <= self.bandwidth**2
         counts = inside.sum(axis=1)
         sums = inside @ self.y
@@ -97,7 +88,7 @@ class NeighborPredictor:
         self.k = int(k)
 
     def __call__(self, q):
-        batch, single = _as_batch(q, self.x.shape[1])
+        batch, single = as_batch(q, self.x.shape[1])
         d2 = _sq_dists(batch, self.x)
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         out = self.y[order].mean(axis=1)
@@ -119,7 +110,7 @@ class RbfPredictor:
         self.radius = float(radius)
 
     def __call__(self, q):
-        batch, single = _as_batch(q, self.x.shape[1])
+        batch, single = as_batch(q, self.x.shape[1])
         r = np.sqrt(_sq_dists(batch, self.x)) / self.radius
         out = _wendland(r) @ self.weights
         return float(out[0]) if single else out

@@ -50,6 +50,22 @@ def as_dataset(data):
     return Dataset(data[0], data[1])
 
 
+def as_batch(x, d):
+    """x as an (n, d) float batch, and whether x was one (d,) point.
+
+    A float array is not copied: a point comes back as a (1, d) view of
+    it.  Any other shape, a 0-d value included, raises ParameterError.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        if x.shape[0] != d:
+            raise ParameterError(f"point has dimension {x.shape[0]}, expected {d}")
+        return x[None, :], True
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ParameterError(f"batch has shape {x.shape}, expected (n, {d})")
+    return x, False
+
+
 class CsvFormatError(ParameterError):
     pass
 
@@ -84,13 +100,17 @@ def _parse_rows(reader, width, path):
     return rows
 
 
-def load_xy_csv(path):
-    """Read a training CSV (x1..xd,y) into a Dataset."""
+def _read_csv(path, want_y):
+    """d and the float rows of a CSV whose header _expect_header checks."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        d = _expect_header(header, True, path)
-        rows = _parse_rows(reader, d + 1, path)
+        d = _expect_header(next(reader, None), want_y, path)
+        return d, _parse_rows(reader, d + int(want_y), path)
+
+
+def load_xy_csv(path):
+    """Read a training CSV (x1..xd,y) into a Dataset."""
+    d, rows = _read_csv(path, True)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
@@ -99,9 +119,5 @@ def load_xy_csv(path):
 
 def load_x_csv(path):
     """Read a prediction-input CSV (x1..xd) into an (n, d) array."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        d = _expect_header(header, False, path)
-        rows = _parse_rows(reader, d, path)
+    d, rows = _read_csv(path, False)
     return np.asarray(rows, dtype=float).reshape(len(rows), d)

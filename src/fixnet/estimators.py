@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import features as feat, netblocks, ridge, rng
-from .data import as_dataset
+from .data import as_batch, as_dataset
 from .errors import EstimatorError, ParameterError, SolverError
 
 _SELECTION_MODES = ("penalized", "risk")
@@ -69,6 +69,23 @@ def _theory_degree_cap(n, smoothness, N):
     return N
 
 
+def _check_config(config, half_name, half):
+    """The checks SmoothConfig and PPConfig share, then the R clamp."""
+    if config.N < 0:
+        raise ParameterError("degree cap N must be >= 0")
+    if config.M < 0:
+        raise ParameterError("grid count M must be >= 0")
+    if not half > 0:
+        raise ParameterError(f"{half_name} must be positive")
+    if not config.penalty > 0:
+        raise ParameterError("penalty must be positive")
+    if not config.R > 0:
+        raise ParameterError("scale R must be positive")
+    if config.beta is not None:
+        _check_positive_finite("beta", config.beta)
+    object.__setattr__(config, "R", netblocks.clamp_scale(config.R))
+
+
 @dataclass(frozen=True)
 class SmoothConfig:
     """Parameters of the anchor-grid estimator.
@@ -85,19 +102,7 @@ class SmoothConfig:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ParameterError("degree cap N must be >= 0")
-        if self.M < 0:
-            raise ParameterError("grid count M must be >= 0")
-        if not self.a > 0:
-            raise ParameterError("cube half width a must be positive")
-        if not self.penalty > 0:
-            raise ParameterError("penalty must be positive")
-        if not self.R > 0:
-            raise ParameterError("scale R must be positive")
-        if self.beta is not None:
-            _check_positive_finite("beta", self.beta)
-        object.__setattr__(self, "R", netblocks.clamp_scale(self.R))
+        _check_config(self, "cube half width a", self.a)
 
     @classmethod
     def from_sample_size(cls, n, d, smoothness, N=None, penalty=1.0,
@@ -138,23 +143,11 @@ class PPConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ParameterError("need at least one direction")
-        if self.N < 0:
-            raise ParameterError("degree cap N must be >= 0")
-        if self.M < 0:
-            raise ParameterError("grid count M must be >= 0")
-        if not self.A > 0:
-            raise ParameterError("domain half width A must be positive")
-        if not self.penalty > 0:
-            raise ParameterError("penalty must be positive")
-        if not self.R > 0:
-            raise ParameterError("scale R must be positive")
         if self.trials < 1:
             raise ParameterError("need at least one trial")
         if self.selection not in _SELECTION_MODES:
             raise ParameterError(f"selection must be one of {_SELECTION_MODES}")
-        if self.beta is not None:
-            _check_positive_finite("beta", self.beta)
-        object.__setattr__(self, "R", netblocks.clamp_scale(self.R))
+        _check_config(self, "domain half width A", self.A)
 
     @classmethod
     def from_sample_size(cls, n, d, r, smoothness, N=None, penalty=1.0,
@@ -279,6 +272,14 @@ def _pp_trial_design(xc, d, config, trial):
     return ridge.build_design_matrix(feats, xc)
 
 
+# The design work of a projection fit, in design entries: each trial
+# costs its n x J design plus a fixed cost, counted as 2^14 entries.  On a
+# 2-vCPU Xeon a trial took 0.68 ms at n = 2, J = 108 and 10.9 ms at
+# n = 100, J = 1,904, so the largest accepted fit takes about a minute.
+_TRIAL_WORK_BUDGET = 2**30
+_TRIAL_FIXED_ENTRIES = 2**14
+
+
 def fit_pp(data, config):
     """Fit the projection estimator over repeated random direction draws.
 
@@ -286,13 +287,22 @@ def fit_pp(data, config):
     so each trial's directions depend only on t.  Trials are built,
     solved and compared in one process in trial order, which keeps the
     fit bit-for-bit reproducible.  Trials whose solve fails are recorded
-    as infinite in the selection trace and skipped.
+    as infinite in the selection trace and skipped.  A fit whose design
+    work trials * (n * J + 2^14) exceeds 2^30 entries raises
+    ParameterError before any direction is drawn.
     """
     data = as_dataset(data)
     xc = _clamped_inputs(data.x, config.A, "fit_pp")
-    # The count check of enumerate_features_pp, made before any r x d
-    # direction draw, so an absurd r fails without allocating.
-    feat._checked_count("line", data.d, config.N, config.M, config.r)
+    # The count check of enumerate_features_pp and the work budget, made
+    # before any r x d direction draw, so an absurd r or trials fails
+    # without allocating.
+    J = feat._checked_count("line", data.d, config.N, config.M, config.r)
+    limit = _TRIAL_WORK_BUDGET // (data.n * J + _TRIAL_FIXED_ENTRIES)
+    if config.trials > limit:
+        raise ParameterError(
+            f"trials must be at most {limit} for n={data.n} rows and J={J} "
+            f"features: the budget is trials * (n * J + 2^14) <= 2^30"
+        )
 
     trace = []
     best = None
@@ -334,19 +344,16 @@ def predict(estimator, x):
     as fit clamps its training inputs, with a RuntimeWarning when any
     coordinate lies outside; a non-finite query raises ParameterError
     first.  So a query far outside the cube (1e10 for a unit-cube fit)
-    and a tiny h (1e-300) give finite predictions.  A huge h can still
-    overflow a feature into NaN inside the cube (a fit with A = 1e300
-    predicts NaN at (-1e300, 1e300)), and the clip to [-beta, beta]
-    keeps it.  Large batches are evaluated in row chunks to bound
-    memory.  Chunking can change the last bits of a prediction: a row's
-    value from one BLAS matrix-vector call depends on the row's place in
-    the call (on a random 20,000 x 1,904 design, 8,811-row chunks moved
-    8 rows by up to 4e-14), so the chunking test allows 1e-12.  A (0, d)
-    batch gives an empty array.
+    and a tiny h (1e-300) give finite predictions.  Inside the cube, the
+    features stay finite because the enumeration refuses (2h)^N > R for
+    N >= 1, at fit and at model load alike.  Large batches are evaluated
+    in row chunks to bound memory.  Chunking can change the last bits of
+    a prediction: a row's value from one BLAS matrix-vector call depends
+    on the row's place in the call (on a random 20,000 x 1,904 design,
+    8,811-row chunks moved 8 rows by up to 4e-14), so the chunking test
+    allows 1e-12.  A (0, d) batch gives an empty array.
     """
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    batch = np.atleast_2d(arr)
+    batch, single = as_batch(x, estimator.d)
     if not np.all(np.isfinite(batch)):  # the clamp would make inf finite
         raise ParameterError("input batch contains non-finite values")
     batch = _clamped_inputs(batch, estimator.domain_half, "predict", "queries")

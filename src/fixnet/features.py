@@ -55,6 +55,7 @@ import numpy as np
 
 from . import netblocks
 from .activation import admissibility_constants
+from .data import as_batch
 from .netblocks import clamp_scale
 from .errors import FeatureCountError, ParameterError
 
@@ -161,8 +162,11 @@ def _checked_count(kind, d, N, M, r=1):
     estimate of log J screens absurd parameters first, so they cost no
     big-integer arithmetic."""
     log_groups = d * math.log(M + 1) if kind == "cube" else math.log(r * (M + 1))
-    log_J = (log_groups + math.lgamma(N + d + 1) - math.lgamma(N + 1)
-             - math.lgamma(d + 1))
+    try:
+        log_J = (log_groups + math.lgamma(N + d + 1) - math.lgamma(N + 1)
+                 - math.lgamma(d + 1))
+    except OverflowError:  # lgamma of a count above about 1e305
+        log_J = math.inf
     if log_J > math.log(MAX_FEATURES) + 1.0:
         raise FeatureCountError(
             f"feature count J of about 10^{log_J / math.log(10):.0f} exceeds "
@@ -174,6 +178,21 @@ def _checked_count(kind, d, N, M, r=1):
     _count_or_raise(math.comb(N + d, d) << _tree_depth(kind, d, N),
                     "product-tree leaf count")
     return J
+
+
+def _check_half_width(name, h, N, R):
+    """Refuse a cube [-h, h]^d with (2h)^N > R (or R not positive) for
+    N >= 1.
+
+    Monomial partial products reach about (2h)^N, and a product block's
+    expm1 overflows once |x +- y| / R passes about 709.  Where (2h)^N > R
+    the block inputs pass R, so bound_mult already exceeds the values it
+    approximates.  The test is made in logs, so no power overflows."""
+    if N >= 1 and not (R > 0 and N * math.log(2.0 * h) <= math.log(R)):
+        raise ParameterError(
+            f"half width {name}={h:g} is too large for degree cap N={N} and "
+            f"scale R={R:g}: (2*{name})^N must not exceed R"
+        )
 
 
 def count_features_cube(d, N, M):
@@ -264,19 +283,22 @@ class FeatureSet:
 
 def enumerate_features_cube(d, N, M, a, R):
     """All (M+1)^d * C(N+d, d) cube features, as a FeatureSet ordered
-    lexicographically by (anchor index tuple, multi-index)."""
+    lexicographically by (anchor index tuple, multi-index).  N >= 1 needs
+    (2a)^N <= R, after the clamp of R (_check_half_width)."""
     if d < 1 or N < 0 or M < 0:
         raise ParameterError(f"invalid grid parameters d={d}, N={N}, M={M}")
     if not a > 0:
         raise ParameterError(f"a must be positive, got {a!r}")
     R = clamp_scale(R)
     _checked_count("cube", d, N, M)
+    _check_half_width("a", a, N, R)
     return FeatureSet("cube", d, N, M, float(a), R)
 
 
 def enumerate_features_pp(d, N, M, A, R, directions):
     """All r * (M+1) * C(N+d, d) projection features, as a FeatureSet
-    ordered by (direction index, anchor index, multi-index)."""
+    ordered by (direction index, anchor index, multi-index).  N >= 1 needs
+    (2A)^N <= R, after the clamp of R (_check_half_width)."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != d:
         raise ParameterError(
@@ -291,6 +313,7 @@ def enumerate_features_pp(d, N, M, A, R, directions):
         raise ParameterError(f"invalid grid parameters N={N}, M={M}, A={A}")
     R = clamp_scale(R)
     _checked_count("line", d, N, M, r)
+    _check_half_width("A", A, N, R)
     return FeatureSet("line", d, N, M, math.sqrt(d) * A, R, float(A),
                       directions)
 
@@ -298,17 +321,6 @@ def enumerate_features_pp(d, N, M, A, R, directions):
 # ---------------------------------------------------------------------------
 # network evaluation
 # ---------------------------------------------------------------------------
-
-def _as_batch(x, d):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != d:
-            raise ParameterError(f"point has dimension {x.shape[0]}, feature expects {d}")
-        return x[None, :], True
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ParameterError(f"batch has shape {x.shape}, feature expects (n, {d})")
-    return x, False
-
 
 def _fold_product_tree(leaves, R):
     params = netblocks.BlockParams(R=R)
@@ -385,7 +397,7 @@ def eval_leaf(spec, xb, f):
 
 
 def _eval_network(x, f):
-    xb, single = _as_batch(x, f.d)
+    xb, single = as_batch(x, f.d)
     _warn_if_low_R(f)
     leaves = [eval_leaf(spec, xb, f) for spec in leaf_specs(f)]
     out = _fold_product_tree(leaves, f.R)
@@ -576,28 +588,30 @@ def eval_features(fs, xb):
 # exact targets
 # ---------------------------------------------------------------------------
 
-def eval_exact_target_cube(x, f):
-    """The idealized cube feature: shifted monomial times the product of tents."""
-    xb, single = _as_batch(x, f.d)
+def _exact_target(x, f):
+    """The idealized feature f: its monomial, shifted by the anchor (cube)
+    or by 0.0 (line), times its exact tents."""
+    xb, single = as_batch(x, f.d)
+    cube = f.kind == "cube"
     out = np.ones(xb.shape[0])
     for l, j in enumerate(f.multi_index):
         if j:
-            out = out * (xb[:, l] - f.anchor[l]) ** j
-    for k in range(f.d):
-        out = out * netblocks.exact_hat(xb[:, k], f.anchor[k], f.M, f.half_width)
+            out = out * (xb[:, l] - (f.anchor[l] if cube else 0.0)) ** j
+    tents = (zip(xb.T, f.anchor) if cube
+             else [(xb @ np.asarray(f.direction), f.anchor)])
+    for t, anchor in tents:
+        out = out * netblocks.exact_hat(t, anchor, f.M, f.half_width)
     return float(out[0]) if single else out
+
+
+def eval_exact_target_cube(x, f):
+    """The idealized cube feature: shifted monomial times the product of tents."""
+    return _exact_target(x, f)
 
 
 def eval_exact_target_pp(x, f):
     """The idealized projection feature: raw monomial times the tent in b'x."""
-    xb, single = _as_batch(x, f.d)
-    out = np.ones(xb.shape[0])
-    for l, j in enumerate(f.multi_index):
-        if j:
-            out = out * xb[:, l] ** j
-    proj = xb @ np.asarray(f.direction)
-    out = out * netblocks.exact_hat(proj, f.anchor, f.M, f.half_width)
-    return float(out[0]) if single else out
+    return _exact_target(x, f)
 
 
 def scale_lower_bound(f):
@@ -677,14 +691,8 @@ def partition_of_unity_check(M, a, d, points):
         pts = pts[:, None]
     if pts.shape[1] != d:
         raise ParameterError(f"points have dimension {pts.shape[1]}, expected {d}")
-    _count_or_raise((M + 1) ** d)
-    step = 2.0 * a / M
-    total = np.zeros(pts.shape[0])
-    for idx in itertools.product(range(M + 1), repeat=d):
-        w = np.ones(pts.shape[0])
-        for jdim in range(d):
-            w = w * netblocks.exact_hat(pts[:, jdim], -a + idx[jdim] * step, M, a)
-        total += w
+    # Order 0 with the constant oracle 1 sums the product tents alone.
+    total = taylor_patch_P(pts, lambda anchor, alpha: 1.0, M, a, 0)
     return float(np.max(np.abs(total - 1.0)))
 
 

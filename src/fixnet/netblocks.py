@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import admissibility_constants, sigma
+from .activation import admissibility_constants, maybe_scalar, sigma
 from .errors import ParameterError
 
 __all__ = [
@@ -119,10 +119,6 @@ def _sigma_second_diff(base, delta):
     return -z * m * m * (1.0 - zE) / ((1.0 + z) * (1.0 + zE) * (1.0 + zE * E))
 
 
-def _maybe_scalar(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
@@ -133,7 +129,7 @@ def f_id(x, params):
     R = params.R
     x = np.asarray(x, dtype=float)
     out = (R / prof.d1_at_id) * _sigma_diff(prof.t_sigma_id, x / R)
-    return _maybe_scalar(out)
+    return maybe_scalar(out)
 
 
 def f_sq(x, params):
@@ -142,7 +138,7 @@ def f_sq(x, params):
     R = params.R
     x = np.asarray(x, dtype=float)
     out = (R * R / prof.d2_at_sq) * _sigma_second_diff(prof.t_sigma, x / R)
-    return _maybe_scalar(out)
+    return maybe_scalar(out)
 
 
 def _second_diff_into(z, m, e, ze, t, dest):
@@ -203,7 +199,7 @@ def f_mult(x, y, params, out=None, scratch=None):
     _second_diff_into(z, m, e, ze, t, m)
     np.subtract(result, m, out=result)
     np.multiply(R * R / (4.0 * prof.d2_at_sq), result, out=result)
-    return _maybe_scalar(result) if out is None else result
+    return maybe_scalar(result) if out is None else result
 
 
 def _check_relu_params(params):
@@ -222,7 +218,7 @@ def f_relu(x, params):
     _check_relu_params(params)
     x = np.asarray(x, dtype=float)
     out = f_mult(f_id(x, params), sigma(params.R * x), params)
-    return _maybe_scalar(out)
+    return maybe_scalar(out)
 
 
 def _hat_network(x, y, M, half_width, R):
@@ -245,13 +241,13 @@ def f_hat(x, y, params):
     """
     if params.M is None or params.M < 1:
         raise ParameterError("hat block requires a positive grid resolution M")
-    return _maybe_scalar(_hat_network(x, y, params.M, params.a, params.R))
+    return maybe_scalar(_hat_network(x, y, params.M, params.a, params.R))
 
 
 def exact_hat(x, y, M, half_width):
     """The exact tent (1 - (M/(2*half_width))*|x - y|)_+ the hat block targets."""
     t = 1.0 - (M / (2.0 * half_width)) * np.abs(np.asarray(x, dtype=float) - y)
-    return _maybe_scalar(np.maximum(t, 0.0))
+    return maybe_scalar(np.maximum(t, 0.0))
 
 
 # ---------------------------------------------------------------------------

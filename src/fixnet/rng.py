@@ -19,29 +19,25 @@ import numpy as np
 
 __all__ = ["Stream", "mix64"]
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLIT_CONST = 0xD1B54A32D192ED03
 _INV_2_53 = 1.0 / (1 << 53)
 
 
 def mix64(z):
-    """splitmix64 finalizer; accepts Python ints or uint64 arrays."""
-    if isinstance(z, (int, np.integer)):
-        z = int(z) & 0xFFFFFFFFFFFFFFFF
-        z ^= z >> 30
-        z = (z * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z ^= z >> 27
-        z = (z * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        z ^= z >> 31
-        return z
-    z = z.astype(np.uint64, copy=True)
+    """splitmix64 finalizer of a uint64 array, or of a Python int, which
+    goes through a one-element array and comes back as an int."""
+    scalar = isinstance(z, (int, np.integer))
+    if scalar:
+        z = np.array([int(z) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    else:
+        z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return z
+    return int(z[0]) if scalar else z
 
 
 # Acklam's inverse normal CDF coefficients.

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import baselines
-from .data import Dataset
+from .data import Dataset, as_batch
 from .errors import FixnetError, ParameterError
 from .estimators import PPConfig, SmoothConfig, fit_pp, fit_smooth
 from .features import count_features_cube
@@ -118,11 +118,7 @@ STANDARD_NOISES = (0.0, 0.05, 0.10)
 
 def eval_target(target, x):
     """Evaluate a target on a point (d,) or batch (n, d)."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    batch = np.atleast_2d(arr)
-    if batch.shape[1] != target.d:
-        raise ParameterError(f"{target.name} expects dimension {target.d}")
+    batch, single = as_batch(x, target.d)
     out = target.fn(batch, target.log_floor, target.tan_clamp)
     return float(out[0]) if single else out
 

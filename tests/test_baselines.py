@@ -54,6 +54,8 @@ def test_constant_predictor():
     assert pred(np.array([9.0])) == 1.5
     out = pred(np.array([[0.0], [5.0]]))
     assert np.array_equal(out, np.array([1.5, 1.5]))
+    with pytest.raises(ParameterError):  # a 0-d query, even for d = 1
+        pred(9.0)
 
 
 def test_kernel_predictor_local_average_and_fallback():

@@ -294,6 +294,31 @@ def test_predict_refuses_non_finite_queries(tmp_path, capsys, cell):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("kind, key, h", [("projection", "A", 3e4),
+                                         ("smooth", "a", 1e4)])
+def test_a_half_width_beyond_the_scale_is_refused(tmp_path, kind, key, h):
+    # Monomial partial products reach about (2h)^N, and beyond R a product
+    # block's expm1 overflows: with N = 2 and R = 1e6, a model of either
+    # half width would predict NaN at its cube's corners.  fit refuses
+    # (2h)^N > R; at 0.99 of that bound the corners are finite.
+    _write_training_csv(tmp_path / "train.csv")
+    config = {"estimator": kind, "r": 1, "N": 2, "M": 2, "R": 1e6,
+              "trials": 2}
+    model = tmp_path / "model.json"
+    code, err = _run_main(["fit", "--config",
+                           _write_config(tmp_path / "fit.json",
+                                         {**config, key: h}),
+                           "--input", str(tmp_path / "train.csv"),
+                           "--output", str(model)])
+    assert code == 2 and not model.exists(), err
+    assert f"half width {key}={h:g}" in err
+    assert "N=2" in err and "R=1e+06" in err
+    h = 0.99 * math.sqrt(1e6) / 2.0
+    est, values = _fit_and_predict(tmp_path, {**config, key: h},
+                                   [(-h, -h), (-h, h), (h, -h), (h, h)])
+    assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= est.beta)
+
+
 def _run_python(code, *args):
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -481,10 +506,15 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
 @pytest.mark.parametrize("edit, expected, message", [
     ({"beta": -1}, 2, "beta must be positive and finite"),
     ({"beta": 0}, 2, "beta must be positive and finite"),
-    # No finite R meets the bound, so the low-R advisory fires.
-    ({"A": 1e300}, 0, None),
+    # No finite R meets the bound, so the low-R advisory fires.  With
+    # N = 0 no monomial limits A.
+    ({"A": 1e300, "N": 0}, 0, None),
     # The cube design is not finite.
     ({"estimator": "smooth", "N": 1, "M": 2, "a": 1e300}, 2, "error:"),
+    # (2A)^N exceeds R: the features overflow inside the cube.
+    ({"A": 1e300}, 2, "half width A=1e+300"),
+    # A fit over the design-work budget would run for days.
+    ({"trials": 1e9}, 2, "trials must be at most"),
 ])
 def test_fit_configs_out_of_range(tmp_path, capsys, edit, expected, message):
     # A negative beta once gave a model that predict refused, and a huge
@@ -794,18 +824,15 @@ _ODD_NUMBERS = (0, -1, 1.5, 5e-324, 1e-300, 1e300, -1e308,
 _ODD_VALUES = _ODD_NUMBERS + ("", "2", "nan", True, False, None, [], [1],
                               {"a": 1})
 # Usable values are small, so every fit that runs stays cheap.  The
-# counts r, N and M get the odd numbers too, which the feature-count
-# check must refuse before anything is allocated; trials gets none of
-# the huge ones, because a huge trial count is a valid, long fit.
+# counts r, N, M and trials get the odd numbers too, which the
+# feature-count check and the trials budget must refuse before anything
+# is allocated.
 _SMALL_VALUES = {
     "r": (1, 2), "N": (0, 1, 2), "M": (0, 1, 3), "trials": (1, 2),
     "R": (1e3, 1e6), "A": (0.5, 1.0), "a": (0.5, 1.0),
     "penalty": (1e-6, 1.0, 1e3), "beta": (None, 0.5, 10.0),
     "seed": (0, 2**64 + 5), "selection": ("penalized", "risk"),
 }
-_ODD_SMALL_VALUES = tuple(v for v in _ODD_VALUES
-                          if not (isinstance(v, (int, float)) and abs(v) > 1e3))
-
 _PROJECTION_KEYS = ("r", "N", "M", "R", "A", "penalty", "beta", "trials",
                     "seed", "selection")
 _SMOOTH_KEYS = ("N", "M", "R", "a", "penalty", "beta")
@@ -823,8 +850,7 @@ def _fit_configs(draw):
     odd_count = draw(st.sampled_from((0, 1, 1, 2)))
     for key in draw(st.lists(st.sampled_from(keys), min_size=odd_count,
                              max_size=odd_count, unique=True)):
-        doc[key] = draw(st.sampled_from(_ODD_SMALL_VALUES if key == "trials"
-                                        else _ODD_VALUES))
+        doc[key] = draw(st.sampled_from(_ODD_VALUES))
     if kind == "smooth":
         doc["estimator"] = "smooth"
     elif kind == "other":
@@ -858,11 +884,18 @@ def _run_main(argv):
 
 
 def _assert_predict_contract(model, d, tmp, accepted):
-    # The second query lies far outside any cube that fit uses here.
+    # The second query lies far outside any cube that fit uses here.  An
+    # accepted model is also queried at the all-h and all-(-h) corners of
+    # its cube [-h, h]^d, and at a row of +-1e300 that the clamp maps to
+    # a corner.
+    rows = [[0.1] * (d - 1) + [-0.2], [1e10] + [0.1] * (d - 1)]
+    if accepted:
+        est = load_estimator(str(model))
+        h = est.domain_half
+        rows += [[h] * d, [-h] * d, [(-1) ** i * 1e300 for i in range(d)]]
     query = tmp / "query.csv"
-    query.write_text(",".join(f"x{i + 1}" for i in range(d))
-                     + "\n" + "0.1," * (d - 1) + "-0.2\n"
-                     + "1e10" + ",0.1" * (d - 1) + "\n")
+    query.write_text(",".join(f"x{i + 1}" for i in range(d)) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows))
     out = tmp / "pred.csv"
     code, err = _run_main(["predict", "--model", str(model), "--input",
                            str(query), "--output", str(out)])
@@ -871,8 +904,8 @@ def _assert_predict_contract(model, d, tmp, accepted):
     assert out.exists() == (code == 0)
     if accepted:  # finite, and truncated to the model's [-beta, beta]
         values = _prediction_values(out)
-        beta = load_estimator(str(model)).beta
-        assert values.shape == (2,) and np.all(np.abs(values) <= beta), values
+        assert values.shape == (len(rows),), values
+        assert np.all(np.abs(values) <= est.beta), values
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -889,6 +922,9 @@ def test_fuzzed_fit_configs_exit_0_or_2(doc, csv):
         assert "Traceback" not in err
         assert code in (0, 2), err
         assert model.exists() == (code == 0)
+        trials = doc.get("trials")
+        if isinstance(trials, (int, float)) and trials > 1e3:
+            assert code == 2, err  # over the trials budget, or unusable
         if code == 0:  # predict accepts every model fit writes
             _assert_predict_contract(model, d, tmp, accepted=True)
 

@@ -3,8 +3,25 @@
 import numpy as np
 import pytest
 
-from fixnet.data import CsvFormatError, Dataset, load_x_csv, load_xy_csv
+from fixnet.data import (CsvFormatError, Dataset, as_batch, load_x_csv,
+                         load_xy_csv)
 from fixnet.errors import ParameterError
+
+
+def test_as_batch_views_a_point_and_refuses_other_shapes():
+    point = np.array([0.5, -0.25])
+    batch, single = as_batch(point, 2)
+    assert single and batch.shape == (1, 2)
+    assert np.shares_memory(batch, point)
+    rows = np.zeros((3, 2))
+    batch, single = as_batch(rows, 2)
+    assert not single and batch is rows
+    assert as_batch([[1, 2]], 2)[0].dtype == float
+    # A 0-d value is no point, even for d = 1.
+    for bad, d in ((np.float64(0.5), 1), (0.5, 1), (np.zeros((2, 2, 1)), 2),
+                   (np.zeros(3), 2), (np.zeros((3, 1)), 2)):
+        with pytest.raises(ParameterError):
+            as_batch(bad, d)
 
 
 def test_dataset_shape_validation():
