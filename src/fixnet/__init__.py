@@ -25,9 +25,8 @@ from .features import (FeatureDescriptor, FeatureSet, architecture_summary,
                        count_features_cube, count_features_pp,
                        enumerate_features_cube, enumerate_features_pp,
                        eval_exact_target_cube, eval_exact_target_pp,
-                       eval_f_net, eval_f_net_pp, eval_feature, multi_indices,
-                       partition_of_unity_check, scale_lower_bound,
-                       taylor_patch_P)
+                       eval_feature, multi_indices, partition_of_unity_check,
+                       scale_lower_bound, taylor_patch_P)
 from .ridge import (DesignMatrix, RidgeSolution, build_design_matrix,
                     coefficient_bound_audit, objective_value, ridge_solve)
 from .rng import Stream, mix64, normal_icdf
@@ -62,7 +61,7 @@ __all__ = [
     "EstimatorError",
     "FeatureDescriptor", "FeatureSet", "multi_indices", "count_features_cube",
     "count_features_pp", "enumerate_features_cube", "enumerate_features_pp",
-    "eval_f_net", "eval_f_net_pp", "eval_feature", "eval_exact_target_cube",
+    "eval_feature", "eval_exact_target_cube",
     "eval_exact_target_pp", "scale_lower_bound",
     "taylor_patch_P", "partition_of_unity_check", "architecture_summary",
     "DesignMatrix", "RidgeSolution", "build_design_matrix", "ridge_solve",

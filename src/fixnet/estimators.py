@@ -244,8 +244,11 @@ def _fitted(data, config, feats, solution, **selection):
 
 
 def fit_smooth(data, config):
-    """Fit the anchor-grid estimator; only the output layer is learned."""
+    """Fit the anchor-grid estimator; only the output layer is learned.
+
+    An n x J design above features.ENTRY_BUDGET is refused first."""
     data = as_dataset(data)
+    feat._checked_count("cube", data.d, config.N, config.M, rows=data.n)
     xc = _clamped_inputs(data.x, config.a, "fit_smooth")
     feats = feat.enumerate_features_cube(data.d, config.N, config.M,
                                          config.a, config.R)
@@ -272,14 +275,6 @@ def _pp_trial_design(xc, d, config, trial):
     return ridge.build_design_matrix(feats, xc)
 
 
-# The design work of a projection fit, in design entries: each trial
-# costs its n x J design plus a fixed cost, counted as 2^14 entries.  On a
-# 2-vCPU Xeon a trial took 0.68 ms at n = 2, J = 108 and 10.9 ms at
-# n = 100, J = 1,904, so the largest accepted fit takes about a minute.
-_TRIAL_WORK_BUDGET = 2**30
-_TRIAL_FIXED_ENTRIES = 2**14
-
-
 def fit_pp(data, config):
     """Fit the projection estimator over repeated random direction draws.
 
@@ -287,22 +282,14 @@ def fit_pp(data, config):
     so each trial's directions depend only on t.  Trials are built,
     solved and compared in one process in trial order, which keeps the
     fit bit-for-bit reproducible.  Trials whose solve fails are recorded
-    as infinite in the selection trace and skipped.  A fit whose design
-    work trials * (n * J + 2^14) exceeds 2^30 entries raises
-    ParameterError before any direction is drawn.
+    as infinite in the selection trace and skipped.  features._checked_count
+    refuses an n x J design or design work above its budgets before any
+    direction is drawn, so an absurd r or trials allocates nothing.
     """
     data = as_dataset(data)
     xc = _clamped_inputs(data.x, config.A, "fit_pp")
-    # The count check of enumerate_features_pp and the work budget, made
-    # before any r x d direction draw, so an absurd r or trials fails
-    # without allocating.
-    J = feat._checked_count("line", data.d, config.N, config.M, config.r)
-    limit = _TRIAL_WORK_BUDGET // (data.n * J + _TRIAL_FIXED_ENTRIES)
-    if config.trials > limit:
-        raise ParameterError(
-            f"trials must be at most {limit} for n={data.n} rows and J={J} "
-            f"features: the budget is trials * (n * J + 2^14) <= 2^30"
-        )
+    feat._checked_count("line", data.d, config.N, config.M, config.r,
+                        rows=data.n, trials=config.trials)
 
     trace = []
     best = None
@@ -331,12 +318,6 @@ def fit_pp(data, config):
                    seed=config.seed, selection=config.selection)
 
 
-# Cap on design-matrix entries held at once while predicting; larger
-# batches are processed in row chunks of this many entries.  Chunking can
-# move the last bits of a prediction (see predict).
-_PREDICT_ENTRY_BUDGET = 2**24
-
-
 def predict(estimator, x):
     """Evaluate the estimator, truncating predictions to [-beta, beta].
 
@@ -357,7 +338,7 @@ def predict(estimator, x):
     if not np.all(np.isfinite(batch)):  # the clamp would make inf finite
         raise ParameterError("input batch contains non-finite values")
     batch = _clamped_inputs(batch, estimator.domain_half, "predict", "queries")
-    step = max(1, _PREDICT_ENTRY_BUDGET // max(estimator.width, 1))
+    step = max(1, feat.ENTRY_BUDGET // max(estimator.width, 1))
     raw = np.empty(batch.shape[0])
     for i in range(0, batch.shape[0], step):
         # No name holds the design, so each chunk's matrix is freed before

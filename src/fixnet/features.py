@@ -65,8 +65,6 @@ __all__ = [
     "multi_indices",
     "enumerate_features_cube",
     "enumerate_features_pp",
-    "eval_f_net",
-    "eval_f_net_pp",
     "eval_feature",
     "eval_exact_target_cube",
     "eval_exact_target_pp",
@@ -77,7 +75,7 @@ __all__ = [
     "ArchitectureSummary",
 ]
 
-MAX_FEATURES = 10**7
+ENTRY_BUDGET = 2**24  # float64 entries (128 MiB); see _checked_count
 
 
 def _tree_depth(kind, d, degree_cap):
@@ -148,17 +146,11 @@ def multi_indices(d, N):
     return [tuple(j) for j in _multi_index_table(d, N).tolist()]
 
 
-def _count_or_raise(J, what="feature count J"):
-    if J > MAX_FEATURES:
-        raise FeatureCountError(
-            f"{what}={J} exceeds the supported maximum {MAX_FEATURES}"
-        )
-
-
-def _checked_count(kind, d, N, M, r=1):
+def _checked_count(kind, d, N, M, r=1, rows=1, trials=1):
     """The feature count J of an enumeration (kind "cube" or "line", r
-    directions), raising FeatureCountError when J or the C(N+d, d) * 2**s
-    leaves of the shared product tree exceed MAX_FEATURES.  A float
+    directions) under the one size rule: FeatureCountError when the
+    C(N+d, d) * 2**s tree leaves or rows * J exceed ENTRY_BUDGET,
+    ParameterError when trials * (rows * J + 2^14) exceeds 2^30.  A float
     estimate of log J screens absurd parameters first, so they cost no
     big-integer arithmetic."""
     log_groups = d * math.log(M + 1) if kind == "cube" else math.log(r * (M + 1))
@@ -167,16 +159,29 @@ def _checked_count(kind, d, N, M, r=1):
                  - math.lgamma(d + 1))
     except OverflowError:  # lgamma of a count above about 1e305
         log_J = math.inf
-    if log_J > math.log(MAX_FEATURES) + 1.0:
+    if log_J > math.log(ENTRY_BUDGET) + 1.0:
         raise FeatureCountError(
             f"feature count J of about 10^{log_J / math.log(10):.0f} exceeds "
-            f"the supported maximum {MAX_FEATURES}"
+            f"the supported maximum {ENTRY_BUDGET}"
         )
     J = (count_features_cube(d, N, M) if kind == "cube"
          else count_features_pp(d, N, M, r))
-    _count_or_raise(J)
-    _count_or_raise(math.comb(N + d, d) << _tree_depth(kind, d, N),
-                    "product-tree leaf count")
+    leaves = math.comb(N + d, d) << _tree_depth(kind, d, N)
+    if leaves > ENTRY_BUDGET:
+        raise FeatureCountError(f"product-tree leaf count={leaves} exceeds "
+                                f"the supported maximum {ENTRY_BUDGET}")
+    if rows * J > ENTRY_BUDGET:
+        size = (f"feature count J={J}" if rows == 1
+                else f"design of n={rows} rows x J={J} features")
+        keys = "N or M" if kind == "cube" else "r, N or M"
+        raise FeatureCountError(f"{size} exceeds the supported maximum "
+                                f"{ENTRY_BUDGET} entries; lower {keys}")
+    limit = 2**30 // (rows * J + 2**14)
+    if trials > limit:
+        raise ParameterError(
+            f"trials must be at most {limit} for n={rows} rows and J={J} "
+            f"features: the budget is trials * (n * J + 2^14) <= 2^30"
+        )
     return J
 
 
@@ -396,31 +401,14 @@ def eval_leaf(spec, xb, f):
     return netblocks._hat_network(proj, anchor, f.M, f.half_width, f.R)
 
 
-def _eval_network(x, f):
+def eval_feature(x, f):
+    """Evaluate the feature network f at x ((d,) or (n, d)) by folding its
+    own leaves: the oracle of eval_features."""
     xb, single = as_batch(x, f.d)
     _warn_if_low_R(f)
     leaves = [eval_leaf(spec, xb, f) for spec in leaf_specs(f)]
     out = _fold_product_tree(leaves, f.R)
     return float(out[0]) if single else out
-
-
-def eval_f_net(x, f):
-    """Evaluate a cube feature network at x ((d,) or (n, d))."""
-    if f.kind != "cube":
-        raise ParameterError("eval_f_net expects a cube feature")
-    return _eval_network(x, f)
-
-
-def eval_f_net_pp(x, f):
-    """Evaluate a projection feature network at x ((d,) or (n, d))."""
-    if f.kind != "line":
-        raise ParameterError("eval_f_net_pp expects a projection feature")
-    return _eval_network(x, f)
-
-
-def eval_feature(x, f):
-    """Dispatch on feature kind."""
-    return eval_f_net(x, f) if f.kind == "cube" else eval_f_net_pp(x, f)
 
 
 fold_product_tree = _fold_product_tree
@@ -657,7 +645,7 @@ def taylor_patch_P(x, derivative_oracle, M, a, q):
     d = xb.shape[1]
     if M < 1:
         raise ParameterError("taylor_patch_P needs M >= 1")
-    _count_or_raise((M + 1) ** d)
+    _checked_count("cube", d, 0, M)  # the (M+1)^d anchors
     step = 2.0 * a / M
     orders = multi_indices(d, q)
     facts = [math.prod(math.factorial(t) for t in alpha) for alpha in orders]

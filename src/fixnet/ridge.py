@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack, features as feat
+from .data import as_batch
 from .errors import ParameterError, SolverError
 
 # Relative residual ceiling for an accepted solve; one step of iterative
@@ -59,10 +60,7 @@ def build_design_matrix(features, x):
     """
     if not isinstance(features, feat.FeatureSet):
         raise ParameterError("features must be a FeatureSet")
-    d = features.d
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    if xb.ndim != 2 or xb.shape[1] != d:
-        raise ParameterError(f"input batch must have shape (n, {d})")
+    xb, _ = as_batch(x, features.d)
     if not np.all(np.isfinite(xb)):
         raise ParameterError("input batch contains non-finite values")
 

@@ -32,6 +32,10 @@ from .estimators import PPConfig, SmoothConfig, fit_pp, fit_smooth
 from .features import count_features_cube
 from .rng import Stream
 
+# The targets' guards.  SAFE_EVAL_NOTE states them in literal text, which
+# the reports pin: f"{_TAN_CLAMP:g}" would read 1e+06.
+_LOG_FLOOR = 1e-12
+_TAN_CLAMP = 1e6
 SAFE_EVAL_NOTE = ("log arguments replaced by max(|u|, 1e-12); "
                   "tan outputs clamped to [-1e6, 1e6]")
 
@@ -40,46 +44,45 @@ SAFE_EVAL_NOTE = ("log arguments replaced by max(|u|, 1e-12); "
 UNIMPLEMENTED_METHODS = ("fc-neural-1", "fc-neural-3", "fc-neural-6", "mars")
 
 
-def _safe_log(u, floor):
-    return np.log(np.maximum(np.abs(u), floor))
+def _safe_log(u):
+    return np.log(np.maximum(np.abs(u), _LOG_FLOOR))
 
 
-def _safe_tan(u, clamp):
-    return np.clip(np.tan(u), -clamp, clamp)
+def _safe_tan(u):
+    return np.clip(np.tan(u), -_TAN_CLAMP, _TAN_CLAMP)
 
 
-def _m1(x, floor, clamp):
+def _m1(x):
     x1, x2 = x[:, 0], x[:, 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1 = _safe_log(0.2 * x1 + 0.9 * x2, floor)
-        t2 = np.cos(np.pi / _safe_log(0.5 * x1 + 0.3 * x2, floor))
+        t1 = _safe_log(0.2 * x1 + 0.9 * x2)
+        t2 = np.cos(np.pi / _safe_log(0.5 * x1 + 0.3 * x2))
         t3 = np.exp((0.7 * x1 + 0.7 * x2) / 50.0)
         u = 0.1 * x1 + 0.3 * x2
-        quartic = _safe_tan(np.pi * u**4, clamp)
+        quartic = _safe_tan(np.pi * u**4)
         # tan(pi u^4) / u^2 -> 0 as u -> 0; evaluate the removable limit.
         t4 = np.where(u == 0.0, 0.0, quartic / np.where(u == 0.0, 1.0, u) ** 2)
     return t1 + t2 + t3 + t4
 
 
-def _m2(x, floor, clamp):
+def _m2(x):
     x1, x2, x3, x4 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    t1 = _safe_tan(np.sin(np.pi * (0.2 * x1 + 0.5 * x2 - 0.6 * x3 + 0.2 * x4)),
-                   clamp)
+    t1 = _safe_tan(np.sin(np.pi * (0.2 * x1 + 0.5 * x2 - 0.6 * x3 + 0.2 * x4)))
     t2 = (0.5 * (x1 + x2 + x3 + x4)) ** 3
     t3 = 1.0 / ((0.5 * x1 + 0.3 * x2 - 0.3 * x3 + 0.25 * x4) ** 2 + 4.0)
     return t1 + t2 + t3
 
 
-def _m3(x, floor, clamp):
+def _m3(x):
     x1, x2, x3, x4, x5 = (x[:, i] for i in range(5))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = _safe_log(0.5 * (x1 + 0.3 * x2 + 0.6 * x3 + x4 - x5) ** 2, floor)
+        t1 = _safe_log(0.5 * (x1 + 0.3 * x2 + 0.6 * x3 + x4 - x5) ** 2)
         t2 = np.sin(np.pi * (0.7 * x1 + x2 - 0.3 * x3 - 0.4 * x4 - 0.8 * x5))
         t3 = np.cos(np.pi / (1.0 + np.sin(0.5 * (x2 + 0.9 * x3 - x5))))
     return t1 + t2 + t3
 
 
-def _m4(x, floor, clamp):
+def _m4(x):
     x1, x2, x3, x4, x5, x6 = (x[:, i] for i in range(6))
     t1 = np.exp(0.2 * (x1 + x2 + x3 + x4 + x5 + x6))
     t2 = np.sin((np.pi / 2.0) * (x1 - x2 - x3 + x4 - x5 - x6))
@@ -97,8 +100,6 @@ class TargetSpec:
     d: int
     noise_scale: float
     fn: Callable
-    log_floor: float = 1e-12
-    tan_clamp: float = 1e6
 
     def __post_init__(self):
         if not self.noise_scale > 0:
@@ -119,7 +120,7 @@ STANDARD_NOISES = (0.0, 0.05, 0.10)
 def eval_target(target, x):
     """Evaluate a target on a point (d,) or batch (n, d)."""
     batch, single = as_batch(x, target.d)
-    out = target.fn(batch, target.log_floor, target.tan_clamp)
+    out = target.fn(batch)
     return float(out[0]) if single else out
 
 

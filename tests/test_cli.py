@@ -328,6 +328,35 @@ def _run_python(code, *args):
                           capture_output=True, text=True, timeout=120)
 
 
+# cli.main in a process limited to 1 GiB of address space, so a fit that
+# tries to allocate a design of several GiB fails with MemoryError
+# instead of taking the machine's memory.
+_MAIN_UNDER_1_GIB = ("import resource, sys; "
+                     "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                     "from fixnet.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("config, n, J", [
+    # A 40 x 8,654,406 design is 2.58 GiB.
+    ({"estimator": "smooth", "N": 2, "M": 1200}, 40, 1201**2 * 6),
+    # The trials budget admits one trial of a 100 x 2,400,000 design,
+    # 1.79 GiB.
+    ({"r": 4, "N": 2, "M": 99_999, "trials": 1}, 100, 4 * 100_000 * 6),
+], ids=["smooth", "projection"])
+def test_a_fit_whose_design_exceeds_the_budget_exits_2(tmp_path, config, n, J):
+    # n * J > 2^24 entries is refused before any feature is built.
+    _write_training_csv(tmp_path / "train.csv", n=n)
+    model = tmp_path / "model.json"
+    proc = _run_python(_MAIN_UNDER_1_GIB, "fit", "--config",
+                       _write_config(tmp_path / "fit.json", config),
+                       "--input", str(tmp_path / "train.csv"),
+                       "--output", str(model))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not model.exists()
+    assert (f"design of n={n} rows x J={J} features exceeds the supported "
+            f"maximum 16777216 entries") in proc.stderr
+
+
 def test_importing_the_cli_does_not_load_scipy():
     proc = _run_python("import sys, fixnet.cli; "
                        "sys.exit(1 if 'scipy' in sys.modules else 0)")

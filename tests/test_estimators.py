@@ -217,7 +217,7 @@ def test_predict_chunking_does_not_change_values(monkeypatch):
         est = fit_pp(data, PP_SMALL)
         queries = Stream(12).uniform_matrix(64, 2, low=-1.0, high=1.0)
         whole = predict(est, queries)
-        monkeypatch.setattr(estimators, "_PREDICT_ENTRY_BUDGET", est.width * 7)
+        monkeypatch.setattr(estimators.feat, "ENTRY_BUDGET", est.width * 7)
         chunked = predict(est, queries)
     assert np.max(np.abs(whole - chunked)) <= 1e-12
 

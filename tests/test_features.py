@@ -17,7 +17,7 @@ from fixnet import features, netblocks
 from fixnet.netblocks import BlockParams, exact_hat, f_hat, f_id, f_mult
 from fixnet.errors import FeatureCountError, ParameterError
 from fixnet.features import (
-    MAX_FEATURES,
+    ENTRY_BUDGET,
     FeatureDescriptor,
     FeatureSet,
     architecture_summary,
@@ -27,8 +27,6 @@ from fixnet.features import (
     enumerate_features_pp,
     eval_exact_target_cube,
     eval_exact_target_pp,
-    eval_f_net,
-    eval_f_net_pp,
     eval_feature,
     multi_indices,
     partition_of_unity_check,
@@ -150,8 +148,9 @@ def test_multi_indices_stay_cheap_in_high_dimension():
     assert len(table) == math.comb(42, 2)
     assert table[:3] == [(0,) * 40, (0,) * 39 + (1,), (0,) * 39 + (2,)]
     assert table == sorted(table) and all(sum(j) <= 2 for j in table)
+    # d = 2^24 + 1 makes 2^25 leaves.
     with pytest.raises(FeatureCountError, match="product-tree leaf count"):
-        enumerate_features_cube(10**7, 0, 0, 1.0, 1e5)
+        enumerate_features_cube(2**24 + 1, 0, 0, 1.0, 1e5)
     with pytest.raises(FeatureCountError, match="about 10\\^"):
         enumerate_features_cube(10**9, 10**9, 10**9, 1.0, 1e5)
 
@@ -164,11 +163,35 @@ def test_tree_size_exponent():
 
 
 def test_feature_count_guard():
-    # (M+1)^d alone exceeds the cap: 11^8 > 1e7.
+    # (M+1)^d alone exceeds the cap: 11^8 > 2^24.
     with pytest.raises(FeatureCountError):
         enumerate_features_cube(8, 2, 10, 1.0, 1e5)
     with pytest.raises(FeatureCountError):
-        enumerate_features_pp(1, 0, MAX_FEATURES + 1, 1.0, 1e5, np.array([[1.0]]))
+        enumerate_features_pp(1, 0, ENTRY_BUDGET, 1.0, 1e5, np.array([[1.0]]))
+
+
+def test_size_rule_boundary_allocates_nothing():
+    # rows * J = 2^24 entries is admitted and one more is refused, the
+    # same for the feature count (rows = 1) and for a fit's design.  A
+    # projection set with d = 1, N = 0 and r = 1 has J = M + 1.
+    assert features._checked_count("line", 1, 0, 2**24 - 1) == 2**24
+    assert features._checked_count("line", 1, 0, 0, rows=2**24) == 1
+    assert features._checked_count("line", 1, 0, 2**12 - 1, rows=2**12) == 2**12
+    with pytest.raises(FeatureCountError, match=r"feature count J=16777217 "
+                       r"exceeds the supported maximum 16777216"):
+        features._checked_count("line", 1, 0, 2**24)
+    with pytest.raises(FeatureCountError,
+                       match=r"n=16777217 rows x J=1 features .* lower r, N or M"):
+        features._checked_count("line", 1, 0, 0, rows=2**24 + 1)
+    with pytest.raises(FeatureCountError, match=r"n=3 rows x J=5592406 .* lower N or M"):
+        features._checked_count("cube", 1, 0, 5592405, rows=3)
+    # A cube of d = 2^24 has exactly 2^24 leaves.
+    assert features._checked_count("cube", 2**24, 0, 0) == 1
+    # The design-work budget trials * (rows * J + 2^14) <= 2^30.
+    assert features._checked_count("line", 1, 0, 0, rows=2**24, trials=63) == 1
+    with pytest.raises(ParameterError, match="trials must be at most 63 for "
+                       "n=16777216 rows and J=1 features"):
+        features._checked_count("line", 1, 0, 0, rows=2**24, trials=64)
 
 
 def test_enumeration_parameter_validation():
@@ -228,9 +251,9 @@ def test_network_evaluation_matches_brute_force_composition():
     xb = Stream(5).uniform_matrix(40, 2, low=-1.0, high=1.0)
     with _silence_low_r():
         for f in enumerate_features_cube(2, 2, 2, 1.0, 1e5):
-            assert np.max(np.abs(eval_f_net(xb, f) - _brute_force_network(xb, f))) <= 1e-12
+            assert np.max(np.abs(eval_feature(xb, f) - _brute_force_network(xb, f))) <= 1e-12
         for f in enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS):
-            assert np.max(np.abs(eval_f_net_pp(xb, f) - _brute_force_network(xb, f))) <= 1e-12
+            assert np.max(np.abs(eval_feature(xb, f) - _brute_force_network(xb, f))) <= 1e-12
 
 
 def test_network_error_decays_like_one_over_R():
@@ -264,24 +287,19 @@ def test_degenerate_single_anchor_grid():
             exact = eval_exact_target_cube(xs, f)
             want = (xs[:, 0] + 1.0) ** sum(f.multi_index)
             assert np.array_equal(exact, want)
-            assert np.max(np.abs(eval_f_net(xs, f) - exact)) <= 0.05
+            assert np.max(np.abs(eval_feature(xs, f) - exact)) <= 0.05
 
 
-def test_kind_dispatch_guards():
+def test_eval_feature_refuses_a_point_of_another_dimension():
     cube = enumerate_features_cube(1, 1, 1, 1.0, 1e5)[0]
-    line = enumerate_features_pp(1, 1, 1, 1.0, 1e5, np.array([[1.0]]))[0]
     with pytest.raises(ParameterError):
-        eval_f_net(np.array([0.0]), line)
-    with pytest.raises(ParameterError):
-        eval_f_net_pp(np.array([0.0]), cube)
-    with pytest.raises(ParameterError):
-        eval_f_net(np.zeros(3), cube)
+        eval_feature(np.zeros(3), cube)
 
 
 def test_single_point_returns_scalar():
     cube = enumerate_features_cube(2, 1, 2, 1.0, 1e5)[0]
     with _silence_low_r():
-        out = eval_f_net(np.array([0.1, -0.2]), cube)
+        out = eval_feature(np.array([0.1, -0.2]), cube)
     assert isinstance(out, float)
 
 
@@ -367,7 +385,7 @@ def test_architecture_summary_widths_and_depth():
 def test_low_scale_warning_fires():
     feats = enumerate_features_cube(2, 2, 2, 1.0, 1e5)
     with pytest.warns(RuntimeWarning, match="below the guaranteed-approximation"):
-        eval_f_net(np.array([[0.0, 0.0]]), feats[0])
+        eval_feature(np.array([[0.0, 0.0]]), feats[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["pp_fit", "smooth_fit", "bench_m2"])
+@pytest.mark.parametrize("workload", ["pp_fit", "pp_predict", "smooth_fit",
+                                      "bench_m2"])
 def test_perfbench_reports_correct_with_no_failed_op(tmp_path, workload):
     # perfbench/run.py checks what every op writes: the model bytes and
     # the quick-benchmark report bytes against perfbench/pins.json where

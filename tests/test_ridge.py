@@ -96,6 +96,10 @@ def test_design_matrix_guards():
         build_design_matrix(list(feats), x)
     with pytest.raises(ParameterError):
         build_design_matrix(feats, np.zeros((4, 3)))
+    # The batch comes through data.as_batch: a 0-d value is no point,
+    # even for d = 1.
+    with pytest.raises(ParameterError, match="batch has shape"):
+        build_design_matrix(enumerate_features_cube(1, 1, 1, 1.0, 1e5), 0.5)
     bad = x.copy()
     bad[0, 0] = np.nan
     with pytest.raises(ParameterError):
