@@ -9,6 +9,16 @@ and the baselines module load on first use.
 """
 
 import importlib
+import os
+import sys
+
+# OpenBLAS reads this when numpy loads it.  By default an idle BLAS worker
+# spins for 2^28 cycles after each call, burning a second core through the
+# elementwise feature builds; at 4, the least accepted, it sleeps.  Thread
+# count and work split are unchanged, and so is every result.  A caller's
+# value, or a numpy loaded before fixnet, is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .activation import ActivationProfile, admissibility_constants, sigma, sigma_derivative
 from .netblocks import (BlockParams, R_SUPPORTED_MAX, bound_hat, bound_id,

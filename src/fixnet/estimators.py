@@ -329,10 +329,15 @@ def predict(estimator, x):
     features stay finite because the enumeration refuses (2h)^N > R for
     N >= 1, at fit and at model load alike.  Large batches are evaluated
     in row chunks to bound memory.  Chunking can change the last bits of
-    a prediction: a row's value from one BLAS matrix-vector call depends
-    on the row's place in the call (on a random 20,000 x 1,904 design,
-    8,811-row chunks moved 8 rows by up to 4e-14), so the chunking test
-    allows 1e-12.  A (0, d) batch gives an empty array.
+    a prediction, because a row's value from one BLAS matrix-vector call
+    depends on OpenBLAS's 4-row kernel groups and on its split of the rows
+    between threads.  On a random 8,811 x 1,904 matrix, one thread gave
+    the bits of the whole call for blocks of any multiple of 4 rows, but
+    17-row blocks moved 439 rows and single-row dots 186 of 200.  On two
+    threads, blocks of a multiple of 4 rows moved 4 rows too, two at the
+    split and two at the end, by up to 1.1e-13.  So no row-blocked
+    evaluation keeps these bits, and the chunking test allows 1e-12.  A
+    (0, d) batch gives an empty array.
     """
     batch, single = as_batch(x, estimator.d)
     if not np.all(np.isfinite(batch)):  # the clamp would make inf finite

@@ -29,7 +29,7 @@ from . import baselines
 from .data import Dataset, as_batch
 from .errors import FixnetError, ParameterError
 from .estimators import PPConfig, SmoothConfig, fit_pp, fit_smooth
-from .features import count_features_cube
+from .features import ENTRY_BUDGET, count_features_cube
 from .rng import Stream
 
 # The targets' guards.  SAFE_EVAL_NOTE states them in literal text, which
@@ -163,6 +163,16 @@ def reference_error(target, noise, stream, n=100, eval_n=10_000,
     return float(np.median(errors))
 
 
+def _check_sample_rows(d, **rows):
+    """Refuse, before any draw, a sample of rows x d inputs above
+    ENTRY_BUDGET, the one size rule's budget; the message names the key."""
+    for key, n in rows.items():
+        if n * d > ENTRY_BUDGET:
+            raise ParameterError(
+                f"sample of {key}={n} rows x d={d} exceeds the supported "
+                f"maximum {ENTRY_BUDGET} entries; lower {key}")
+
+
 @dataclass(frozen=True)
 class CellResult:
     """One (target, noise, method) cell of the benchmark grid."""
@@ -259,6 +269,8 @@ class BenchConfig:
             if getattr(self, key) < 1:
                 raise ParameterError(
                     f"{key} must be at least 1, got {getattr(self, key)!r}")
+        d = max((TARGETS[t].d for t in self.targets), default=0)
+        _check_sample_rows(d, n=self.n, eval_n=self.eval_n)
 
     def trials_for(self, target_name, noise):
         for (cell_target, cell_noise), reduced in self.trial_overrides:
@@ -524,6 +536,11 @@ class RateConfig:
             )
         if self.seeds < 1:
             raise ParameterError("need at least one seed")
+        if self.eval_n < 1:
+            raise ParameterError(
+                f"eval_n must be at least 1, got {self.eval_n!r}")
+        _check_sample_rows(len(self.direction), sample_sizes=max(sizes),
+                           eval_n=self.eval_n)
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}

@@ -319,13 +319,59 @@ def test_a_half_width_beyond_the_scale_is_refused(tmp_path, kind, key, h):
     assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= est.beta)
 
 
-def _run_python(code, *args):
+def _run_python(code, *args, **env_edit):
+    """python -c code in a fresh process with src/ on its path; env_edit
+    sets environment variables, and a None value unsets one."""
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    for key, value in env_edit.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("imports, given, seen", [
+    ("fixnet", None, "4"),
+    ("fixnet", "12", "12"),
+    ("numpy, fixnet", None, "None"),
+], ids=["set", "caller-wins", "numpy-first"])
+def test_importing_fixnet_lets_idle_openblas_workers_sleep(imports, given,
+                                                           seen):
+    # OpenBLAS reads the variable when numpy loads it, so only a process
+    # that imports fixnet first gets it, and a caller's value stays.
+    proc = _run_python(f"import os, {imports}; "
+                       "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))",
+                       OPENBLAS_THREAD_TIMEOUT=given)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == seen
+
+
+def test_the_idle_timeout_moves_no_bit_of_a_threaded_fit(tmp_path):
+    # 100 rows and J = 108 features take the dual path, whose 100 x 100
+    # Gram OpenBLAS's dsyrk splits between threads on a multi-core host.
+    # Whether idle workers sleep or spin (28, OpenBLAS's default) between
+    # calls does not change the split, so the model bytes stay the same.
+    _write_training_csv(tmp_path / "train.csv", n=100)
+    config = _write_config(tmp_path / "fit.json",
+                           {"r": 2, "N": 2, "M": 8, "trials": 3})
+    models = []
+    for timeout in (None, "28"):
+        model = tmp_path / f"model-{timeout}.json"
+        proc = _run_python("import sys; from fixnet.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))",
+                           "fit", "--config", config,
+                           "--input", str(tmp_path / "train.csv"),
+                           "--output", str(model),
+                           OPENBLAS_THREAD_TIMEOUT=timeout)
+        assert proc.returncode == 0, proc.stderr
+        assert "features: 108" in proc.stdout
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 # cli.main in a process limited to 1 GiB of address space, so a fit that
@@ -355,6 +401,21 @@ def test_a_fit_whose_design_exceeds_the_budget_exits_2(tmp_path, config, n, J):
     assert "Traceback" not in proc.stderr and not model.exists()
     assert (f"design of n={n} rows x J={J} features exceeds the supported "
             f"maximum 16777216 entries") in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["eval_n", "n"])
+def test_a_bench_sample_above_the_budget_exits_2(tmp_path, key):
+    # The first sample drawn, 1e9 rows of m2's d = 4 inputs, alone would
+    # be 29.8 GiB; the config is refused before any draw.
+    out = tmp_path / "out"
+    proc = _run_python(_MAIN_UNDER_1_GIB, "bench", "--quick", "--config",
+                       _write_config(tmp_path / "c.json", {key: 1e9}),
+                       "--output", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+    assert proc.stderr == (f"error: sample of {key}=1000000000 rows x d=6 "
+                           "exceeds the supported maximum 16777216 entries; "
+                           f"lower {key}\n")
 
 
 def test_importing_the_cli_does_not_load_scipy():

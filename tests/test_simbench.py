@@ -202,6 +202,27 @@ def test_bench_config_validation_and_echo():
     assert doc["trial_overrides"] == [{"target": "m1", "noise": 0.05, "trials": 50}]
 
 
+def test_sample_sizes_are_bounded_by_the_entry_budget():
+    # n * d and eval_n * d (d the widest target's, 6 for m4) at most 2^24
+    # entries; max(sample_sizes) * d and eval_n * d for rate.  The full and
+    # quick protocols, rate's defaults and perfbench's bench_m2 config
+    # are admitted.
+    BenchConfig()
+    BenchConfig.quick()
+    BenchConfig.quick(targets=("m2",), noises=(0.05,), reps=2)
+    RateConfig()
+    BenchConfig.quick(targets=("m2",), n=2**22, eval_n=2**22)
+    for key in ("n", "eval_n"):
+        with pytest.raises(ParameterError,
+                           match=f"^sample of {key}=4194305 rows x d=4 "):
+            BenchConfig.quick(targets=("m2",), **{key: 2**22 + 1})
+    RateConfig(sample_sizes=(1, 2, 3, 2**23), eval_n=2**23)
+    with pytest.raises(ParameterError, match="^sample of sample_sizes="):
+        RateConfig(sample_sizes=(1, 2, 3, 2**23 + 1))
+    with pytest.raises(ParameterError, match="^sample of eval_n="):
+        RateConfig(eval_n=2**23 + 1)
+
+
 def test_run_benchmark_mini_grid():
     config = BenchConfig(**MINI_BENCH)
     report = run_benchmark(config)
@@ -241,6 +262,11 @@ def test_rate_config_validation():
         RateConfig(sample_sizes=(10, 20, 20, 30))
     with pytest.raises(ParameterError):
         RateConfig(seeds=0)
+    # An empty evaluation sample made every mean error NaN, with exit 0.
+    for eval_n in (0, -3):
+        with pytest.raises(ParameterError,
+                           match=f"^eval_n must be at least 1, got {eval_n}$"):
+            RateConfig(eval_n=eval_n)
     assert "workers" not in RateConfig().to_dict()
 
 
