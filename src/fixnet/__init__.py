@@ -34,9 +34,9 @@ from .estimators import (FittedEstimator, PPConfig, SmoothConfig,
 from .features import (FeatureDescriptor, FeatureSet, architecture_summary,
                        count_features_cube, count_features_pp,
                        enumerate_features_cube, enumerate_features_pp,
-                       eval_exact_target_cube, eval_exact_target_pp,
-                       eval_feature, multi_indices, partition_of_unity_check,
-                       scale_lower_bound, taylor_patch_P)
+                       eval_exact_target, eval_feature, multi_indices,
+                       partition_of_unity_check, scale_lower_bound,
+                       taylor_patch_P)
 from .ridge import (DesignMatrix, RidgeSolution, build_design_matrix,
                     coefficient_bound_audit, objective_value, ridge_solve)
 from .rng import Stream, mix64, normal_icdf
@@ -71,8 +71,7 @@ __all__ = [
     "EstimatorError",
     "FeatureDescriptor", "FeatureSet", "multi_indices", "count_features_cube",
     "count_features_pp", "enumerate_features_cube", "enumerate_features_pp",
-    "eval_feature", "eval_exact_target_cube",
-    "eval_exact_target_pp", "scale_lower_bound",
+    "eval_feature", "eval_exact_target", "scale_lower_bound",
     "taylor_patch_P", "partition_of_unity_check", "architecture_summary",
     "DesignMatrix", "RidgeSolution", "build_design_matrix", "ridge_solve",
     "objective_value", "coefficient_bound_audit",

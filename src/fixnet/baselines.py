@@ -186,6 +186,12 @@ def rbf_interpolant(data, radius):
     return RbfPredictor(data.x, weights, radius)
 
 
+def _learn_count(n):
+    """Rows of n that select_by_split learns on: 80 percent, at least one
+    and at most n - 1."""
+    return max(1, min(n - 1, int(0.8 * n)))
+
+
 @dataclass(frozen=True)
 class SplitSelection:
     """Outcome of grid selection on a single holdout split."""
@@ -213,7 +219,7 @@ def select_by_split(data, fit_fn, grid, seed):
     if data.n < 2:
         raise ParameterError("need at least two observations to split")
     perm = Stream(seed).child_label("selection-split").permutation(data.n)
-    n_learn = max(1, min(data.n - 1, int(0.8 * data.n)))
+    n_learn = _learn_count(data.n)
     learn = data.subset(perm[:n_learn])
     test = data.subset(perm[n_learn:])
 
@@ -246,7 +252,7 @@ def fit_kernel_selected(data, seed):
 def fit_neighbor_selected(data, seed):
     """Nearest-neighbor baseline with k selected on a holdout split."""
     data = as_dataset(data)
-    n_learn = max(1, min(data.n - 1, int(0.8 * data.n)))
+    n_learn = _learn_count(data.n)
     grid = neighbor_count_grid(data.n - n_learn, n_learn)
     sel = select_by_split(data, knn, grid, seed)
     return sel.predictor, sel.parameter

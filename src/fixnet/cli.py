@@ -36,7 +36,7 @@ import numpy as np
 
 from . import features as feat, netblocks, ridge
 from .netblocks import BlockParams
-from .data import load_x_csv, load_xy_csv
+from .data import comment_header, load_x_csv, load_xy_csv
 from .errors import FixnetError
 from .estimators import (PPConfig, SmoothConfig, fit_pp, fit_smooth,
                          load_estimator, predict, save_estimator)
@@ -89,15 +89,13 @@ def block_check_rows(scales=(1e3, 1e4, 1e5), a=1.0, M=4, step=2e-3):
     return rows
 
 
-def _network_max_error(features, grid, exact_fn):
+def _network_max_error(features, grid):
     # features is a FeatureSet: the design matrix is built from its
-    # arrays, and the exact targets take its descriptors one by one.
+    # arrays, and the exact target takes its descriptors one by one.
     design = ridge.build_design_matrix(features, grid)
-    worst = 0.0
-    for j, f in enumerate(features):
-        err = float(np.max(np.abs(design.values[:, j] - exact_fn(grid, f))))
-        worst = max(worst, err)
-    return worst
+    return max(float(np.max(np.abs(design.values[:, j]
+                                   - feat.eval_exact_target(grid, f))))
+               for j, f in enumerate(features))
 
 
 def decay_check_rows(scale=1e5, window=(1.0 / 12.0, 1.0 / 8.0)):
@@ -112,20 +110,15 @@ def decay_check_rows(scale=1e5, window=(1.0 / 12.0, 1.0 / 8.0)):
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     lo, hi = window
     rows = []
-
-    def cube_feats(r_val):
-        return feat.enumerate_features_cube(2, 2, 2, 1.0, r_val)
-
-    def line_feats(r_val):
-        return feat.enumerate_features_pp(2, 2, 4, 1.0, r_val,
-                                          np.asarray(_DECAY_DIRECTIONS))
-
-    for name, maker, exact in (
-        ("grid network", cube_feats, feat.eval_exact_target_cube),
-        ("projection network", line_feats, feat.eval_exact_target_pp),
+    for name, maker in (
+        ("grid network",
+         lambda r_val: feat.enumerate_features_cube(2, 2, 2, 1.0, r_val)),
+        ("projection network",
+         lambda r_val: feat.enumerate_features_pp(
+             2, 2, 4, 1.0, r_val, np.asarray(_DECAY_DIRECTIONS))),
     ):
-        err_lo = _network_max_error(maker(scale), grid, exact)
-        err_hi = _network_max_error(maker(10.0 * scale), grid, exact)
+        err_lo = _network_max_error(maker(scale), grid)
+        err_hi = _network_max_error(maker(10.0 * scale), grid)
         ratio = err_hi / err_lo if err_lo > 0 else math.inf
         rows.append({
             "check": f"{name} 1/R decay",
@@ -220,14 +213,6 @@ def _quick(file_cfg, args):
     return args.quick or quick
 
 
-def _reproducibility_header(title, config, seed):
-    return [
-        f"# fixnet {title}",
-        f"# seed: {seed}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
-    ]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -288,7 +273,7 @@ def cmd_predict(args):
         )
     run_cfg = {"model": model_path, "input": input_path,
                "estimator_kind": est.kind, "d": est.d}
-    lines = _reproducibility_header("predictions", run_cfg, est.seed)
+    lines = comment_header("predictions", est.seed, run_cfg)
     lines.append("prediction")
     lines.extend(f"{v:.17g}" for v in predict(est, x))
     with open(output_path, "w", encoding="utf-8") as fh:
@@ -364,8 +349,7 @@ def cmd_approx_check(args):
               f"{r['measured']:>13.6e}  {r['bound']:>13.6e}  "
               f"{'pass' if r['ok'] else 'FAIL'}")
     if out_path:
-        lines = _reproducibility_header(
-            "approximation check", {"quick": quick}, "n/a")
+        lines = comment_header("approximation check", "n/a", {"quick": quick})
         lines.append("check,scale,measured,bound,ok")
         for r in rows:
             lines.append(f"{r['check']},{r['scale']:.17g},"

@@ -5,6 +5,7 @@ inputs), decimal points, UTF-8, no thousands separators.
 """
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,14 @@ def as_batch(x, d):
     if x.ndim != 2 or x.shape[1] != d:
         raise ParameterError(f"batch has shape {x.shape}, expected (n, {d})")
     return x, False
+
+
+def comment_header(title, seed, config, *notes):
+    """The comment lines an output file starts with: its title, the master
+    seed, one line per note, then the resolved config as sorted JSON."""
+    return [f"# fixnet {title}", f"# seed: {seed}",
+            *(f"# {note}" for note in notes),
+            f"# config: {json.dumps(config, sort_keys=True)}"]
 
 
 class CsvFormatError(ParameterError):

@@ -66,8 +66,7 @@ __all__ = [
     "enumerate_features_cube",
     "enumerate_features_pp",
     "eval_feature",
-    "eval_exact_target_cube",
-    "eval_exact_target_pp",
+    "eval_exact_target",
     "scale_lower_bound",
     "taylor_patch_P",
     "partition_of_unity_check",
@@ -76,6 +75,9 @@ __all__ = [
 ]
 
 ENTRY_BUDGET = 2**24  # float64 entries (128 MiB); see _checked_count
+# Entries one bench or rate run may compute; see _checked_loops.  The full
+# benchmark protocol prices at about 2^35.2.
+LOOP_BUDGET = 2**40
 
 
 def _tree_depth(kind, d, degree_cap):
@@ -176,13 +178,40 @@ def _checked_count(kind, d, N, M, r=1, rows=1, trials=1):
         keys = "N or M" if kind == "cube" else "r, N or M"
         raise FeatureCountError(f"{size} exceeds the supported maximum "
                                 f"{ENTRY_BUDGET} entries; lower {keys}")
-    limit = 2**30 // (rows * J + 2**14)
+    limit = 2**30 // _fit_work(rows, J)
     if trials > limit:
         raise ParameterError(
             f"trials must be at most {limit} for n={rows} rows and J={J} "
             f"features: the budget is trials * (n * J + 2^14) <= 2^30"
         )
     return J
+
+
+def _fit_work(rows, J, trials=1):
+    """trials * (rows * J + 2^14): the price of trials fits on an n x J
+    design, its entries plus 2^14 per fit."""
+    return trials * (rows * J + 2**14)
+
+
+def _fit_price(kind, d, N, M, r=1, rows=1, trials=1):
+    """The _fit_work of a fit of trials trials on rows rows, or 0 when
+    _checked_count refuses it, since such a fit stops before any work."""
+    try:
+        J = _checked_count(kind, d, N, M, r, rows, trials)
+    except (FeatureCountError, ParameterError):
+        return 0
+    return _fit_work(rows, J, trials)
+
+
+def _checked_loops(work, keys):
+    """Refuse, before any draw, a bench or rate run whose loops price above
+    LOOP_BUDGET entries: work sums the _fit_price of every fit and the rows
+    x d of every sample it draws, and keys name what lowers it."""
+    if work > LOOP_BUDGET:
+        raise ParameterError(
+            f"the run's loops come to about 2^{math.log2(work):.1f} entries, "
+            f"above the supported maximum 2^{LOOP_BUDGET.bit_length() - 1}; "
+            f"lower {keys}")
 
 
 def _check_half_width(name, h, N, R):
@@ -241,9 +270,9 @@ class FeatureSet:
         self.directions = (None if directions is None
                            else _frozen(np.array(directions, dtype=float)))
         self.multi_index_table = _multi_index_table(d, degree_cap)
-        groups = ((M + 1) ** d if kind == "cube"
-                  else len(self.directions) * (M + 1))
-        self._len = groups * len(self.multi_index_table)
+        self._len = (count_features_cube(d, degree_cap, M) if kind == "cube"
+                     else count_features_pp(d, degree_cap, M,
+                                            len(self.directions)))
 
     @property
     def s(self):
@@ -348,38 +377,21 @@ def _warn_if_low_R(f):
         warnings.warn(_LOW_R_MESSAGE, RuntimeWarning, stacklevel=3)
 
 
-def _leaf_tokens(kind, multi_index, s):
-    """The leaves of a product tree of depth s, in tree order, named without
-    a group's anchor and direction: ("mono", l) once per unit of
-    multi_index[l], then ("tent", k) for each tent (one per component for a
-    cube feature, one for a projection feature), then ("one",) padding up
-    to 2**s leaves."""
-    tokens = [("mono", l) for l, j in enumerate(multi_index) for _ in range(j)]
-    tents = len(multi_index) if kind == "cube" else 1
-    tokens += [("tent", k) for k in range(tents)]
-    return tokens + [("one",)] * (2 ** s - len(tokens))
-
-
 def leaf_specs(f):
     """Hashable descriptions of the product-tree leaves of f, in tree order.
 
     Specs: ("monomial", component, shift) for an identity block applied
-    twice to x[component] - shift; ("hat", component, anchor) for a cube
-    tent; ("hat_line", direction, anchor) for the projected tent; ("one",)
-    for constant padding.  Equal specs denote identical computations.  They
-    are the _leaf_tokens of f with f's anchor and direction filled in.
+    twice to x[component] - shift, once per unit of multi-index component;
+    then ("hat", component, anchor) for each cube tent, or one
+    ("hat_line", direction, anchor) for the projected tent; then ("one",)
+    padding up to 2**s leaves.  Equal specs denote identical computations.
     """
     cube = f.kind == "cube"
-    specs = []
-    for token in _leaf_tokens(f.kind, f.multi_index, f.s):
-        if token[0] == "mono":
-            specs.append(("monomial", token[1], f.anchor[token[1]] if cube else 0.0))
-        elif token[0] == "tent":
-            specs.append(("hat", token[1], f.anchor[token[1]]) if cube
-                         else ("hat_line", f.direction, f.anchor))
-        else:
-            specs.append(token)
-    return specs
+    specs = [("monomial", l, f.anchor[l] if cube else 0.0)
+             for l, j in enumerate(f.multi_index) for _ in range(j)]
+    specs += ([("hat", k, f.anchor[k]) for k in range(f.d)] if cube
+              else [("hat_line", f.direction, f.anchor)])
+    return specs + [("one",)] * (2 ** f.s - len(specs))
 
 
 def eval_leaf(spec, xb, f):
@@ -431,9 +443,11 @@ _BLOCK_ENTRY_BUDGET = 2**15
 
 def _leaf_codes(kind, d, N):
     """The leaves of the product trees of one (kind, d, N), a (K, 2**s)
-    array whose row k is the _leaf_tokens of multi-index k, coded
-    ("mono", l) as l, ("tent", k) as d + k and ("one",) as d + tents,
-    with tents = d for a cube tree and 1 for a projection tree."""
+    array whose row k lists, in the order of leaf_specs, the leaves of
+    multi-index k without a group's anchor and direction, coded: the
+    monomial of coordinate l as l, tent k as d + k and the constant one
+    as d + tents, with tents = d for a cube tree and 1 for a projection
+    tree."""
     table = _multi_index_table(d, N)
     K, tents = len(table), d if kind == "cube" else 1
     sizes = table.sum(axis=1)
@@ -576,9 +590,10 @@ def eval_features(fs, xb):
 # exact targets
 # ---------------------------------------------------------------------------
 
-def _exact_target(x, f):
+def eval_exact_target(x, f):
     """The idealized feature f: its monomial, shifted by the anchor (cube)
-    or by 0.0 (line), times its exact tents."""
+    or by 0.0 (line), times its exact tents (one per coordinate for a cube
+    feature, the tent in b'x for a projection feature)."""
     xb, single = as_batch(x, f.d)
     cube = f.kind == "cube"
     out = np.ones(xb.shape[0])
@@ -590,16 +605,6 @@ def _exact_target(x, f):
     for t, anchor in tents:
         out = out * netblocks.exact_hat(t, anchor, f.M, f.half_width)
     return float(out[0]) if single else out
-
-
-def eval_exact_target_cube(x, f):
-    """The idealized cube feature: shifted monomial times the product of tents."""
-    return _exact_target(x, f)
-
-
-def eval_exact_target_pp(x, f):
-    """The idealized projection feature: raw monomial times the tent in b'x."""
-    return _exact_target(x, f)
 
 
 def scale_lower_bound(f):

@@ -18,7 +18,7 @@ surely.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,10 +26,11 @@ from typing import Callable
 import numpy as np
 
 from . import baselines
-from .data import Dataset, as_batch
+from .data import Dataset, as_batch, comment_header
 from .errors import FixnetError, ParameterError
 from .estimators import PPConfig, SmoothConfig, fit_pp, fit_smooth
-from .features import ENTRY_BUDGET, count_features_cube
+from .features import (ENTRY_BUDGET, _checked_loops, _fit_price,
+                       count_features_cube)
 from .rng import Stream
 
 # The targets' guards.  SAFE_EVAL_NOTE states them in literal text, which
@@ -145,6 +146,12 @@ def generate(target, n, noise, stream, allow_any_noise=False):
     return Dataset(x, y)
 
 
+def _mse(predicted, truth):
+    """Mean of (predicted - truth)^2: a predictor's evaluation error
+    against the noiseless target."""
+    return float(np.mean((np.asarray(predicted) - truth) ** 2))
+
+
 def reference_error(target, noise, stream, n=100, eval_n=10_000,
                     realizations=50):
     """Median evaluation error of the constant-average predictor.
@@ -159,7 +166,7 @@ def reference_error(target, noise, stream, n=100, eval_n=10_000,
         data = generate(target, n, noise, sub)
         x_eval = sub.uniform_matrix(eval_n, target.d, low=-1.0, high=1.0)
         avg = float(np.mean(data.y))
-        errors[k] = float(np.mean((avg - eval_target(target, x_eval)) ** 2))
+        errors[k] = _mse(avg, eval_target(target, x_eval))
     return float(np.median(errors))
 
 
@@ -212,8 +219,7 @@ def scaled_errors(fit_method, target, noise, data_stream, method_stream,
         )
         try:
             pred = fit_method(data, method_stream.child_label(f"rep-{i}"))
-            mse = float(np.mean((np.asarray(pred(x_eval))
-                                 - eval_target(target, x_eval)) ** 2))
+            mse = _mse(pred(x_eval), eval_target(target, x_eval))
         except FixnetError:
             failures += 1
             continue
@@ -271,6 +277,33 @@ class BenchConfig:
                     f"{key} must be at least 1, got {getattr(self, key)!r}")
         d = max((TARGETS[t].d for t in self.targets), default=0)
         _check_sample_rows(d, n=self.n, eval_n=self.eval_n)
+        self._check_loops()
+
+    def _check_loops(self):
+        """Check the estimator fields and price the run (_checked_loops):
+        per cell, each repetition draws a sample and runs the neural
+        methods' fits on the learning part, and each reference realization
+        draws a sample."""
+        n_learn = baselines._learn_count(self.n)
+        if "smooth-neural" in self.methods:
+            for m in self.smooth_m_grid:
+                _smooth_config(self, m)
+        work = 0
+        for t in self.targets:
+            d = TARGETS[t].d
+            sample = (self.n + self.eval_n) * d
+            for nz in self.noises:
+                fits = 0
+                if "proj-neural" in self.methods:
+                    fits += _pp_grid_work(self, self.proj_m_grid, d, n_learn,
+                                          self.trials_for(t, nz))
+                if "smooth-neural" in self.methods:
+                    fits += sum(_fit_price("cube", d, self.degree_cap, m,
+                                           rows=n_learn)
+                                for m in _smooth_grid(self, d))
+                work += (self.reps * (sample + fits)
+                         + self.ref_realizations * sample)
+        _checked_loops(work, "reps, trials, ref_realizations or a grid")
 
     def trials_for(self, target_name, noise):
         for (cell_target, cell_noise), reduced in self.trial_overrides:
@@ -287,26 +320,50 @@ class BenchConfig:
         return doc
 
 
-def _fit_constant(data, stream, config, trials):
-    return baselines.constant_avg(data)
+def _selected_baseline(name):
+    """The bench fitter of the baseline baselines.<name>, seeded by the
+    stream's child "select".  The name is looked up at each call, so a
+    rebound module attribute is the one that runs."""
+    def fit(data, stream, config, trials):
+        pred, _ = getattr(baselines, name)(data,
+                                           stream.child_label("select").seed)
+        return pred
+
+    return fit
 
 
-def _fit_kernel(data, stream, config, trials):
-    pred, _ = baselines.fit_kernel_selected(data,
-                                            stream.child_label("select").seed)
-    return pred
+def _pp_config(config, m_value, trials, seed=0):
+    """The PPConfig of a bench or rate config's projection fits at grid
+    count M; building it checks the estimator fields."""
+    return PPConfig(r=config.direction_count, N=config.degree_cap, M=m_value,
+                    R=config.scale, A=config.domain_half,
+                    penalty=config.penalty, trials=trials, seed=seed)
 
 
-def _fit_neighbor(data, stream, config, trials):
-    pred, _ = baselines.fit_neighbor_selected(
-        data, stream.child_label("select").seed)
-    return pred
+def _smooth_config(config, m_value):
+    """The SmoothConfig of a bench config's smooth fits at grid count M."""
+    return SmoothConfig(N=config.degree_cap, M=m_value, R=config.scale,
+                        a=config.domain_half, penalty=config.penalty)
 
 
-def _fit_rbf(data, stream, config, trials):
-    pred, _ = baselines.fit_rbf_selected(data,
-                                         stream.child_label("select").seed)
-    return pred
+def _smooth_grid(config, d):
+    """The smooth-grid values M of a bench config whose feature count at
+    dimension d is at most smooth_feature_cap."""
+    return tuple(m for m in config.smooth_m_grid
+                 if count_features_cube(d, config.degree_cap, m)
+                 <= config.smooth_feature_cap)
+
+
+def _pp_grid_work(config, grid, d, n_learn, trials):
+    """The summed features._fit_price of one projection fit per grid value
+    on n_learn rows.  Building each value's PPConfig first refuses bad
+    estimator fields before any draw."""
+    work = 0
+    for m in grid:
+        _pp_config(config, m, trials)
+        work += _fit_price("line", d, config.degree_cap, m,
+                           config.direction_count, n_learn, trials)
+    return work
 
 
 def _pp_candidate_fitter(config, trials, stream, label):
@@ -314,17 +371,8 @@ def _pp_candidate_fitter(config, trials, stream, label):
     a bench or rate config: grid count M, seeded by the stream's child
     labelled f"{label}-M{M}"."""
     def fit_candidate(learn, m_value):
-        conf = PPConfig(
-            r=config.direction_count,
-            N=config.degree_cap,
-            M=m_value,
-            R=config.scale,
-            A=config.domain_half,
-            penalty=config.penalty,
-            trials=trials,
-            seed=stream.child_label(f"{label}-M{m_value}").seed,
-        )
-        return fit_pp(learn, conf)
+        seed = stream.child_label(f"{label}-M{m_value}").seed
+        return fit_pp(learn, _pp_config(config, m_value, trials, seed))
 
     return fit_candidate
 
@@ -337,11 +385,7 @@ def _fit_proj_neural(data, stream, config, trials):
 
 
 def _fit_smooth_neural(data, stream, config, trials):
-    grid = tuple(
-        m for m in config.smooth_m_grid
-        if count_features_cube(data.d, config.degree_cap, m)
-        <= config.smooth_feature_cap
-    )
+    grid = _smooth_grid(config, data.d)
     if not grid:
         raise ParameterError(
             "no smooth-grid candidate fits under the feature cap at this "
@@ -349,14 +393,7 @@ def _fit_smooth_neural(data, stream, config, trials):
         )
 
     def fit_candidate(learn, m_value):
-        conf = SmoothConfig(
-            N=config.degree_cap,
-            M=m_value,
-            R=config.scale,
-            a=config.domain_half,
-            penalty=config.penalty,
-        )
-        return fit_smooth(learn, conf)
+        return fit_smooth(learn, _smooth_config(config, m_value))
 
     sel = baselines.select_by_split(data, fit_candidate, grid,
                                     stream.child_label("select").seed)
@@ -364,10 +401,11 @@ def _fit_smooth_neural(data, stream, config, trials):
 
 
 _METHOD_FITTERS = {
-    "constant": _fit_constant,
-    "kernel": _fit_kernel,
-    "neighbor": _fit_neighbor,
-    "rbf": _fit_rbf,
+    "constant": lambda data, stream, config, trials:
+        baselines.constant_avg(data),
+    "kernel": _selected_baseline("fit_kernel_selected"),
+    "neighbor": _selected_baseline("fit_neighbor_selected"),
+    "rbf": _selected_baseline("fit_rbf_selected"),
     "proj-neural": _fit_proj_neural,
     "smooth-neural": _fit_smooth_neural,
 }
@@ -381,7 +419,6 @@ class BenchmarkReport:
     seed: int
     references: dict
     cells: tuple
-    safe_eval_note: str = SAFE_EVAL_NOTE
 
     def cell(self, target, noise, method):
         for c in self.cells:
@@ -391,13 +428,10 @@ class BenchmarkReport:
         raise KeyError((target, noise, method))
 
     def to_csv_text(self):
-        lines = [
-            "# fixnet benchmark report",
-            f"# seed: {self.seed}",
-            f"# safe-eval: {self.safe_eval_note}",
-            f"# config: {json.dumps(self.config, sort_keys=True)}",
-            "target,noise,method,status,median,iqr,reps,failures,reference",
-        ]
+        lines = comment_header("benchmark report", self.seed, self.config,
+                               f"safe-eval: {SAFE_EVAL_NOTE}")
+        lines.append(
+            "target,noise,method,status,median,iqr,reps,failures,reference")
         for c in self.cells:
             median = "" if math.isnan(c.median) else f"{c.median:.17g}"
             iqr = "" if math.isnan(c.iqr) else f"{c.iqr:.17g}"
@@ -420,7 +454,7 @@ class BenchmarkReport:
             "# Benchmark report",
             "",
             f"Scaled errors, median (IQR); seed {self.seed}.",
-            f"Safe-eval convention: {self.safe_eval_note}.",
+            f"Safe-eval convention: {SAFE_EVAL_NOTE}.",
             "",
             header,
             rule,
@@ -454,32 +488,24 @@ def run_benchmark(config):
     """
     master = Stream(config.seed)
     references = {}
-    for t in config.targets:
-        target = TARGETS[t]
-        for nz in config.noises:
-            ref_stream = master.child_label(f"{t}/{nz:.17g}/reference")
-            references[(t, nz)] = reference_error(
-                target, nz, ref_stream, n=config.n, eval_n=config.eval_n,
-                realizations=config.ref_realizations,
-            )
-
     cells = []
     for t in config.targets:
         target = TARGETS[t]
         for nz in config.noises:
+            reference = references[(t, nz)] = reference_error(
+                target, nz, master.child_label(f"{t}/{nz:.17g}/reference"),
+                n=config.n, eval_n=config.eval_n,
+                realizations=config.ref_realizations,
+            )
             data_stream = master.child_label(f"{t}/{nz:.17g}/data")
             for m in config.methods:
                 method_stream = master.child_label(f"{t}/{nz:.17g}/method/{m}")
-                fitter = _METHOD_FITTERS[m]
-                trials = config.trials_for(t, nz)
-
-                def fit(data, stream, _f=fitter, _trials=trials):
-                    return _f(data, stream, config, _trials)
-
+                fit = functools.partial(_METHOD_FITTERS[m], config=config,
+                                        trials=config.trials_for(t, nz))
                 try:
                     values, failures = scaled_errors(
                         fit, target, nz, data_stream, method_stream,
-                        references[(t, nz)], n=config.n,
+                        reference, n=config.n,
                         eval_n=config.eval_n, reps=config.reps,
                     )
                 except ParameterError:
@@ -496,7 +522,7 @@ def run_benchmark(config):
                 cells.append(CellResult(
                     target=t, noise=nz, method=m, status=status,
                     median=median, iqr=iqr, scaled_values=tuple(values),
-                    failures=failures, reference=references[(t, nz)],
+                    failures=failures, reference=reference,
                 ))
     return BenchmarkReport(
         config=config.to_dict(),
@@ -539,8 +565,15 @@ class RateConfig:
         if self.eval_n < 1:
             raise ParameterError(
                 f"eval_n must be at least 1, got {self.eval_n!r}")
-        _check_sample_rows(len(self.direction), sample_sizes=max(sizes),
-                           eval_n=self.eval_n)
+        d = len(self.direction)
+        _check_sample_rows(d, sample_sizes=max(sizes), eval_n=self.eval_n)
+        # Priced as BenchConfig._check_loops prices a cell: each seed at
+        # each size draws a sample and runs one projection fit per M.
+        work = sum(
+            self.seeds * ((n + self.eval_n) * d + _pp_grid_work(
+                self, self.m_grid, d, baselines._learn_count(n), self.trials))
+            for n in sizes)
+        _checked_loops(work, "seeds, trials, sample_sizes or m_grid")
 
     def to_dict(self):
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -558,14 +591,10 @@ class RateResult:
     degenerate: bool
 
     def to_csv_text(self, config):
-        lines = [
-            "# fixnet rate experiment",
-            f"# seed: {config.seed}",
-            f"# config: {json.dumps(config.to_dict(), sort_keys=True)}",
-            f"# slope: {self.slope:.17g}",
-            f"# degenerate: {self.degenerate}",
-            "n,mean_error",
-        ]
+        lines = comment_header("rate experiment", config.seed,
+                               config.to_dict())
+        lines += [f"# slope: {self.slope:.17g}",
+                  f"# degenerate: {self.degenerate}", "n,mean_error"]
         for n, e in zip(self.sample_sizes, self.mean_errors):
             lines.append(f"{n},{e:.17g}")
         return "\n".join(lines) + "\n"
@@ -603,9 +632,7 @@ def rate_experiment(config):
                 _pp_candidate_fitter(config, config.trials, stream, "fit"),
                 config.m_grid, stream.child_label("select").seed,
             )
-            errs.append(float(np.mean(
-                (np.asarray(sel.predictor(x_eval)) - truth(x_eval)) ** 2
-            )))
+            errs.append(_mse(sel.predictor(x_eval), truth(x_eval)))
         per_seed.append(tuple(errs))
         means.append(float(np.mean(errs)))
 

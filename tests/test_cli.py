@@ -24,6 +24,7 @@ from fixnet.features import count_features_pp, eval_feature
 from fixnet.cli import (block_check_rows, build_parser, decay_check_rows,
                         main, run_approx_check)
 from fixnet.rng import Stream
+from fixnet.simbench import BenchConfig
 
 
 def _write_training_csv(path, n=16, seed=0):
@@ -438,13 +439,14 @@ def _fit_runs(tmp_path):
     return runs
 
 
-def _tiny_bench_run(tmp_path):
+def _tiny_bench_run(tmp_path, **overrides):
     """argv of a bench run that fits the RBF baseline over its radius
-    grid and the projection estimator; _assert_tiny_bench_report checks it."""
+    grid and the projection estimator, with the config keys overrides
+    changes; _assert_tiny_bench_report checks it."""
     bench = _write_config(tmp_path / "bench.json", {
         "targets": ["m2"], "noises": [0.05], "methods": ["rbf", "proj-neural"],
         "n": 25, "eval_n": 50, "reps": 1, "trials": 2, "ref_realizations": 1,
-        "proj_m_grid": [2]})
+        "proj_m_grid": [2], **overrides})
     return ["bench", "--config", bench, "--output", str(tmp_path / "bench")]
 
 
@@ -687,6 +689,77 @@ def test_command_config_values_that_do_not_convert_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, power", [
+    # 1e9 reference realizations asked np.empty for 7.45 GiB; 1e9
+    # repetitions or rate seeds ran until killed.
+    ("bench", {"ref_realizations": 1e9}, "46.5"),
+    ("bench", {"reps": 1e9}, "54.8"),
+    ("rate", {"seeds": 1e9}, "55.7"),
+], ids=["ref_realizations", "reps", "seeds"])
+def test_a_run_whose_loops_exceed_the_budget_exits_2(tmp_path, command, doc,
+                                                      power):
+    out = tmp_path / "out"
+    quick = ["--quick"] if command == "bench" else []
+    proc = _run_python(_MAIN_UNDER_1_GIB, command, *quick, "--config",
+                       _write_config(tmp_path / "c.json", doc),
+                       "--output", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+    assert proc.stderr.startswith(
+        f"error: the run's loops come to about 2^{power} entries, above the "
+        "supported maximum 2^40; lower ")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("bench", {"penalty": -1, "targets": ["m2"]}),
+    ("rate", {"penalty": -1}),
+    ("bench", {"methods": ["smooth-neural"], "degree_cap": -1}),
+    ("bench", {"trial_overrides": [{"target": "m2", "noise": 0.05,
+                                    "trials": 0}]}),
+])
+def test_bad_estimator_fields_exit_2_before_any_draw(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     doc):
+    # A bench used to run every repetition of the baselines first, then
+    # mark the neural cells failed and exit 1.
+    def no_draw(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(Stream, "_raw", no_draw)
+    out = tmp_path / "out"
+    quick = ["--quick"] if command == "bench" else []
+    assert main([command, *quick, "--config",
+                 _write_config(tmp_path / "c.json", doc),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_a_failed_cell_is_reported_and_exits_1(tmp_path, capsys,
+                                               monkeypatch):
+    # The bench looks the baselines up when it runs them, so a rebound
+    # module attribute is the one that runs.
+    from fixnet import baselines
+    from fixnet.errors import SolverError
+
+    def singular(data, seed):
+        raise SolverError("radial-basis system could not be solved")
+
+    monkeypatch.setattr(baselines, "fit_rbf_selected", singular)
+    assert main(_tiny_bench_run(tmp_path)) == 1
+    assert "1 cell(s) failed" in capsys.readouterr().err
+    rows = {line.split(",")[2]: line.split(",") for line in
+            (tmp_path / "bench" / "bench_report.csv").read_text().splitlines()
+            if not line.startswith("#")}
+    # target,noise,method,status,median,iqr,reps,failures,reference
+    assert rows["rbf"][3:8] == ["failed", "", "", "0", "1"]
+    assert rows["proj-neural"][3] == "ok"
+    md = (tmp_path / "bench" / "bench_report.md").read_text().splitlines()
+    assert "| rbf | failed |" in md
+    assert next(line for line in md if line.startswith("| proj-neural |")
+                ).endswith(") |")
+
+
 @pytest.mark.parametrize("edit, key", [
     ({"eval_n": 0}, "eval_n"),
     ({"eval_n": -5}, "eval_n"),
@@ -834,6 +907,7 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     perfbench_tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(perfbench_tracer)
     metrics, _ = perfbench_tracer.summarize(str(fit_dir))
+    fit_metrics = metrics
     est = load_estimator(str(model))
     J = count_features_pp(2, FAST_FIT["N"], FAST_FIT["M"], FAST_FIT["r"])
     assert est.width == J
@@ -858,7 +932,7 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # cmd_bench imports simbench when it runs, and the package resolves
     # simbench, baselines and estimators.ProcessPoolExecutor on first
     # use.  Each must be the object the tracer patched, or these spans
-    # read zero.
+    # read zero.  The bench runs all six methods, two repetitions each.
     predict_dir = tmp_path / "predict"
     predict_dir.mkdir()
     query = predict_dir / "query.csv"
@@ -868,18 +942,42 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     for run_dir, argv in (
             (predict_dir, ["predict", "--model", str(model), "--input",
                            str(query), "--output", str(predict_dir / "p.csv")]),
-            (bench_dir, _tiny_bench_run(bench_dir))):
+            (bench_dir, _tiny_bench_run(
+                bench_dir, methods=list(BenchConfig.methods),
+                smooth_m_grid=[1], reps=2))):
         proc = subprocess.run(tracer + [str(run_dir), "--"] + argv,
                               cwd=run_dir, env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
     metrics, _ = perfbench_tracer.summarize(str(predict_dir))
+    predict_metrics = metrics
     assert metrics["estimators.predict_chunks"] >= 1
     metrics, _ = perfbench_tracer.summarize(str(bench_dir))
     _assert_tiny_bench_report(bench_dir)
     assert metrics["baselines.select_calls"] > 0
     assert metrics["simbench.reference_s"] > 0
     assert metrics["estimators.pool_starts"] == 0
+    # A refactor that stops calling a wrapped name zeroes its metrics.
+    # Only these read zero in all three runs: the oracle's leaf and fold
+    # spans, which no command calls, the pool that no command starts and
+    # the failure counts.
+    zeros = {key for key in metrics
+             if not any(m[key] for m in (fit_metrics, predict_metrics,
+                                         metrics))}
+    assert zeros == {
+        "features.leaf_specs_s", "features.leaf_specs_calls",
+        "features.eval_leaf_s", "features.eval_leaf_calls",
+        "features.leaf_elems", "features.leaf_reuse", "features.fold_s",
+        "features.fold_calls", "estimators.pool_starts",
+        "ridge.solve_failures", "estimators.trials_failed",
+        "simbench.rep_failures"}
+    # One baselines.fit span per baseline method and repetition.
+    spans = 0
+    for path in bench_dir.glob("spans-*.npz"):
+        names, ids, _, _, _ = perfbench_tracer._load(str(path))
+        if "baselines.fit" in names:
+            spans += int(np.sum(ids == names.index("baselines.fit")))
+    assert spans == 4 * 2
 
     smooth_dir = tmp_path / "smooth"
     smooth_dir.mkdir()

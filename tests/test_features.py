@@ -25,8 +25,7 @@ from fixnet.features import (
     count_features_pp,
     enumerate_features_cube,
     enumerate_features_pp,
-    eval_exact_target_cube,
-    eval_exact_target_pp,
+    eval_exact_target,
     eval_feature,
     multi_indices,
     partition_of_unity_check,
@@ -210,16 +209,16 @@ def test_exact_target_spot_values():
     # First feature: anchor (-1, -1), multi-index (0, 0); hats have
     # half-width 2a/M = 1.
     assert f.anchor == (-1.0, -1.0) and f.multi_index == (0, 0)
-    assert eval_exact_target_cube(np.array([-1.0, -1.0]), f) == 1.0
-    assert eval_exact_target_cube(np.array([-0.5, -1.0]), f) == pytest.approx(0.5)
-    assert eval_exact_target_cube(np.array([0.5, -1.0]), f) == 0.0
+    assert eval_exact_target(np.array([-1.0, -1.0]), f) == 1.0
+    assert eval_exact_target(np.array([-0.5, -1.0]), f) == pytest.approx(0.5)
+    assert eval_exact_target(np.array([0.5, -1.0]), f) == 0.0
 
     line = enumerate_features_pp(2, 1, 2, 1.0, 1e5, np.array([[0.6, 0.8]]))
     g = [f for f in line if f.multi_index == (1, 0) and f.anchor_index == 1][0]
     pt = np.array([0.5, -0.25])
     proj = 0.6 * 0.5 + 0.8 * -0.25
     want = 0.5 * exact_hat(proj, g.anchor, g.M, g.half_width)
-    assert eval_exact_target_pp(pt, g) == pytest.approx(want, rel=1e-12)
+    assert eval_exact_target(pt, g) == pytest.approx(want, rel=1e-12)
 
 
 def _brute_force_network(xb, f):
@@ -261,16 +260,16 @@ def test_network_error_decays_like_one_over_R():
     gx, gy = np.meshgrid(side, side)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def worst(feats, exact):
-        return max(
-            float(np.max(np.abs(eval_feature(grid, f) - exact(grid, f)))) for f in feats
-        )
+    def worst(feats):
+        return max(float(np.max(np.abs(eval_feature(grid, f)
+                                       - eval_exact_target(grid, f))))
+                   for f in feats)
 
     with _silence_low_r():
-        cube_lo = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e5), eval_exact_target_cube)
-        cube_hi = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e8), eval_exact_target_cube)
-        line_lo = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e5, DIRECTIONS), eval_exact_target_pp)
-        line_hi = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e8, DIRECTIONS), eval_exact_target_pp)
+        cube_lo = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e5))
+        cube_hi = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e8))
+        line_lo = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e5, DIRECTIONS))
+        line_hi = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e8, DIRECTIONS))
     # Three decades of scale must buy at least a factor 500 (and about
     # 1000 in practice) in the whole-network error.
     assert 500.0 <= cube_lo / cube_hi <= 2000.0
@@ -284,7 +283,7 @@ def test_degenerate_single_anchor_grid():
     xs = np.linspace(-1.0, 1.0, 31)[:, None]
     with _silence_low_r():
         for f in feats:
-            exact = eval_exact_target_cube(xs, f)
+            exact = eval_exact_target(xs, f)
             want = (xs[:, 0] + 1.0) ** sum(f.multi_index)
             assert np.array_equal(exact, want)
             assert np.max(np.abs(eval_feature(xs, f) - exact)) <= 0.05

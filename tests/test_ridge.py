@@ -387,6 +387,18 @@ def test_a_zero_lu_pivot_raises_solver_error():
     assert exc.value.condition_estimate == np.inf
 
 
+@pytest.mark.parametrize("solve, message", [
+    (lambda v: np.full_like(v, np.nan), "non-finite coefficients"),
+    # Each step solves half of what is left: the residual is 0.5, then
+    # 0.25 after the one refinement step.
+    (lambda v: 0.5 * v, "solve residual 2.500e-01 exceeds 1e-10"),
+], ids=["non-finite", "residual"])
+def test_the_residual_gate_raises_solver_error(solve, message):
+    with pytest.raises(SolverError, match=message) as exc:
+        ridge._refined_solve(np.eye(3), np.ones(3), solve, 42.0)
+    assert exc.value.condition_estimate == 42.0
+
+
 def test_design_matrix_wrapper_properties():
     dm = DesignMatrix(values=np.zeros((7, 3)), feature_order=(None,) * 3)
     assert dm.n == 7

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fixnet import simbench
 from fixnet.data import Dataset
 from fixnet.errors import ParameterError
 from fixnet.rng import Stream
@@ -221,6 +222,26 @@ def test_sample_sizes_are_bounded_by_the_entry_budget():
         RateConfig(sample_sizes=(1, 2, 3, 2**23 + 1))
     with pytest.raises(ParameterError, match="^sample of eval_n="):
         RateConfig(eval_n=2**23 + 1)
+
+
+def test_the_loop_budget_admits_every_protocol(monkeypatch):
+    # A run may price at most 2^40 entries (features._checked_loops): the
+    # full protocol, the quick one, rate's defaults and perfbench's
+    # bench_m2 config, in that order, are admitted.
+    prices = []
+    check = simbench._checked_loops
+    monkeypatch.setattr(simbench, "_checked_loops",
+                        lambda work, keys: check(prices.append(work) or work,
+                                                 keys))
+    BenchConfig()
+    BenchConfig.quick()
+    RateConfig()
+    BenchConfig.quick(targets=("m2",), noises=(0.05,), reps=2)
+    assert [round(math.log2(w), 1) for w in prices] == [35.2, 28.2, 28.1, 24.6]
+    # 29 times the full protocol's repetitions pass the budget.
+    with pytest.raises(ParameterError, match="lower reps, trials, "):
+        BenchConfig(reps=29 * 50)
+    BenchConfig(reps=28 * 50)
 
 
 def test_run_benchmark_mini_grid():
