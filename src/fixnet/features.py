@@ -26,7 +26,8 @@ through a plan of instances:
 - a leaf instance is a leaf with its anchor: a cube tent or
   anchor-shifted monomial of coordinate k at each anchor of k, a
   projection tent at each (direction, anchor), and the raw monomials and
-  the constant one once each.  The leaf table holds each one's values;
+  the constant one once each.  The leaf table holds each one's values,
+  evaluated in row blocks;
 - a node instance of the next level is a distinct pair of child
   instances, so a partial product is evaluated once per distinct
   sub-tuple of the anchors it depends on, and once for all features when
@@ -38,6 +39,10 @@ through a plan of instances:
 - rows are folded in blocks, each level of a block one f_mult call on
   two gathers of the level below, and the root level is written straight
   into the block's rows of the result.
+
+Both kinds of row block are sized by one entry budget,
+_BLOCK_ENTRY_BUDGET, so a build holds its result, the leaf table and
+temporaries of the order of the budget, however many rows it has.
 
 Every value passes through the same elementwise block recurrences, with
 the same operands in the same order, as in eval_feature, so the plan's
@@ -431,13 +436,17 @@ fold_product_tree = _fold_product_tree
 # ---------------------------------------------------------------------------
 
 # Cap on (row, instance) entries of one row block at the plan's widest
-# level, which bounds the fold's temporaries.  On a 2-vCPU Xeon (2 MiB L2
-# per core) with numpy 2.4, interleaved builds of a 4,000-row cube design
-# (d=4, N=2, M=2; widest level 1,215) and an 8,811-row projection design
-# (d=6, N=2, M=16, r=4; widest level 1,904) took, in medians of 7 at
-# budgets 2^13, 2^14, 2^15 and 2^16: cube 0.27, 0.24, 0.21, 0.21 s and
-# projection 0.87, 0.73, 0.73, 0.81 s.  Smaller blocks pay the per-call
-# cost of f_mult's 32 ufunc calls more often; larger ones leave L2.
+# level, which bounds the fold's temporaries, and on (row, tent) entries
+# of one row block of the leaf table, which bounds the tent networks'.
+# On a 2-vCPU Xeon (2 MiB L2 per core) with numpy 2.4, interleaved builds
+# of a 4,000-row cube design (d=4, N=2, M=2; widest level 1,215) and an
+# 8,811-row projection design (d=6, N=2, M=16, r=4; widest level 1,904)
+# took, in medians of 7 at budgets 2^13, 2^14, 2^15 and 2^16: cube 0.27,
+# 0.24, 0.21, 0.21 s and projection 0.87, 0.73, 0.73, 0.81 s.  Smaller
+# blocks pay the per-call cost of f_mult's 32 ufunc calls more often;
+# larger ones leave L2.  The leaf table of that projection design (68
+# tent columns, so 481-row blocks) takes 81-85 ms in medians of 7, where
+# the whole-batch table took 149-153 ms.
 _BLOCK_ENTRY_BUDGET = 2**15
 
 
@@ -521,20 +530,35 @@ def _leaf_table(fs, xb, params):
     _leaf_instances indexes them: the tents of coordinate k (cube) or
     direction k (line) at anchor i in column k * (M+1) + i, then the
     monomials, of coordinate l at anchor i (cube) or of coordinate l
-    (line), then the constant one."""
+    (line), then the constant one.
+
+    The tents and monomials are evaluated in blocks of at most
+    max(1, _BLOCK_ENTRY_BUDGET // tents) rows, tents being the number of
+    tent columns, and written into the table, so the tent network's
+    temporaries stay the order of the budget."""
     if fs.kind == "cube":
         inputs = xb
     else:
-        # Each projection is its own matrix-vector product, as in eval_leaf.
+        # Each projection is its own matrix-vector product over the whole
+        # batch, as in eval_leaf; a row block would move its bits.
         inputs = np.stack([xb @ np.array(b) for b in fs.directions], axis=1)
-    points = np.repeat(inputs, fs.M + 1, axis=1)
+    n, n_tents = len(xb), inputs.shape[1] * (fs.M + 1)
+    n_monos = n_tents if fs.kind == "cube" else fs.d
+    table = np.empty((n, n_tents + n_monos + 1))
+    table[:, -1] = 1.0
     anchors = np.tile(fs.grid, inputs.shape[1])
-    tents = netblocks._hat_network(points, anchors, fs.M, fs.half_width, fs.R)
-    # leaf_specs shifts projection monomials by 0.0, which leaves every x
-    # unchanged.
-    monos = points - anchors if fs.kind == "cube" else xb
-    monos = netblocks.f_id(netblocks.f_id(monos, params), params)
-    return np.concatenate([tents, monos, np.ones((len(xb), 1))], axis=1)
+    step = max(1, _BLOCK_ENTRY_BUDGET // n_tents)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        points = np.repeat(inputs[rows], fs.M + 1, axis=1)
+        table[rows, :n_tents] = netblocks._hat_network(
+            points, anchors, fs.M, fs.half_width, fs.R)
+        # leaf_specs shifts projection monomials by 0.0, which leaves
+        # every x unchanged.
+        monos = points - anchors if fs.kind == "cube" else xb[rows]
+        table[rows, n_tents:-1] = netblocks.f_id(netblocks.f_id(monos, params),
+                                                 params)
+    return table
 
 
 def eval_features(fs, xb):
@@ -548,7 +572,10 @@ def eval_features(fs, xb):
     the fold holds seven buffers of at most max(_BLOCK_ENTRY_BUDGET,
     widest) entries, which every block reuses: one-row blocks when J
     exceeds the budget, whose temporaries are the order of one design
-    row.
+    row.  The leaf table is built in row blocks of the same budget (see
+    _leaf_table), so while it is built a call holds, besides the table,
+    the order of a dozen temporaries of the budget's size and, for a
+    projection set, the n x r projections.
     """
     r = 1 if fs.kind == "cube" else len(fs.directions)
     folds = _plan(fs.kind, fs.d, fs.degree_cap, fs.M, r)

@@ -9,6 +9,10 @@ whose normal equations (B^T B + penalty I) a = B^T y are symmetric
 positive definite for any penalty > 0 and are solved by a Cholesky
 factorization.  The LAPACK routines come from the OpenBLAS that numpy
 already links (fixnet._lapack), so a fit never imports scipy.
+
+Besides the design, a solve holds two Gram-sized arrays: the penalty is
+added in place to the diagonal of the Gram matrix, and the 1-norm the
+condition estimate needs is taken before the factorization copies it.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ def _spd_solver(mat):
     raises SolverError.
     """
     lapack = _lapack.routines()
+    # The 1-norm's abs() temporary is freed before potrf copies mat.
+    anorm = np.linalg.norm(mat, 1)
     factor, info = lapack.potrf(mat)
     if info > 0:
         cond = float(np.linalg.cond(mat, 1))
@@ -99,7 +105,7 @@ def _spd_solver(mat):
             raise SolverError("normal equations could not be factorized",
                               condition_estimate=cond)
         return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
-    rcond, info = lapack.pocon(factor, np.linalg.norm(mat, 1))
+    rcond, info = lapack.pocon(factor, anorm)
     cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
     return (lambda v: lapack.potrs(factor, v)[0]), cond
 
@@ -149,14 +155,19 @@ def ridge_solve(design, y, penalty):
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(y))):
         raise ParameterError("design matrix and response must be finite")
 
+    # The n x n system when J > n, else the J x J one.  The penalty goes
+    # onto its diagonal in place.  Off it, adding penalty * eye would add
+    # 0.0, which leaves every entry but -0.0 as it is; a Gram entry is
+    # -0.0 only when every product in its sum is a signed zero.
+    mat = b @ b.T if width > n else b.T @ b
+    mat.flat[::len(mat) + 1] += penalty
+    solve, cond = _spd_solver(mat)
     if width > n:
-        outer = b @ b.T + penalty * np.eye(n)
-        solve, cond = _spd_solver(outer)
-        dual = _refined_solve(outer, y, solve, cond)
+        dual = _refined_solve(mat, y, solve, cond)
         coef = b.T @ dual
         # Residual of the J-dimensional system, evaluated without forming
         # the J x J Gram matrix: (B^T B + p I) B^T z - B^T y = B^T r_dual.
-        primal_res = b.T @ (outer @ dual - y)
+        primal_res = b.T @ (mat @ dual - y)
         rhs_norm = max(float(np.linalg.norm(b.T @ y)), np.finfo(float).tiny)
         residual = float(np.linalg.norm(primal_res)) / rhs_norm
         if not np.all(np.isfinite(coef)) or residual > _RESIDUAL_TARGET:
@@ -165,10 +176,7 @@ def ridge_solve(design, y, penalty):
                 condition_estimate=cond,
             )
     else:
-        gram = b.T @ b + penalty * np.eye(width)
-        rhs = b.T @ y
-        solve, cond = _spd_solver(gram)
-        coef = _refined_solve(gram, rhs, solve, cond)
+        coef = _refined_solve(mat, b.T @ y, solve, cond)
 
     obj = objective_value(b, y, coef, penalty)
     return RidgeSolution(

@@ -1,5 +1,6 @@
 """Tests for the comparison estimators and holdout-split selection."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,33 @@ def _scipy_sym_solve(k, y):
 
 def _bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "m, n, d", [(3000, 80, 6), (40_000, 7, 1), (3, 30_000, 5)],
+    ids=["blocks-of-273", "blocks-of-18724", "one-row-blocks"])
+def test_sq_dists_blocks_are_bitwise_the_one_shot_einsum(m, n, d):
+    gen = np.random.default_rng(m + n + d)
+    queries = gen.uniform(-1.0, 1.0, (m, d))
+    points = gen.uniform(-1.0, 1.0, (n, d))
+    diff = queries[:, None, :] - points[None, :, :]
+    assert _bitwise_equal(baselines._sq_dists(queries, points),
+                          np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def test_sq_dists_memory_stays_near_its_output():
+    # 10,000 queries against 80 points in d = 6: the blocks' differences
+    # hold 2^17 entries, a sixth of the (10,000, 80) output.
+    gen = np.random.default_rng(6)
+    queries = gen.uniform(-1.0, 1.0, (10_000, 6))
+    points = gen.uniform(-1.0, 1.0, (80, 6))
+    tracemalloc.start()
+    try:
+        out = baselines._sq_dists(queries, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes, peak
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)

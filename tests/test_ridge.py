@@ -246,6 +246,61 @@ def test_lu_fallback_is_reachable_and_passes_the_audit(monkeypatch):
     assert coefficient_bound_audit(sol, y)
 
 
+def _reference_ridge_solve(b, y, penalty):
+    """ridge_solve with the system formed out of place, as B^T B + p I
+    (or B B^T + p I), and its 1-norm taken after the factorization."""
+    n, width = b.shape
+    lapack = _lapack.routines()
+    mat = (b @ b.T + penalty * np.eye(n) if width > n
+           else b.T @ b + penalty * np.eye(width))
+    factor, info = lapack.potrf(mat)
+    assert info == 0
+    rcond, info = lapack.pocon(factor, np.linalg.norm(mat, 1))
+    cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
+
+    def solve(v):
+        return lapack.potrs(factor, v)[0]
+
+    if width > n:
+        coef = b.T @ ridge._refined_solve(mat, y, solve, cond)
+    else:
+        coef = ridge._refined_solve(mat, b.T @ y, solve, cond)
+    return coef, objective_value(b, y, coef, penalty), cond
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(1, 90), width=st.integers(1, 90),
+       penalty=st.sampled_from([1e-6, 0.1, 3.0]), seed=st.integers(0, 2**16))
+def test_in_place_system_is_bitwise_the_out_of_place_one(n, width, penalty,
+                                                         seed):
+    gen = np.random.default_rng(seed)
+    b = gen.uniform(-1.0, 1.0, (n, width))
+    y = gen.standard_normal(n)
+    sol = ridge_solve(b, y, penalty)
+    coef, obj, cond = _reference_ridge_solve(b, y, penalty)
+    assert _bitwise_equal(sol.coefficients, coef)
+    assert _bitwise_equal(np.array([sol.objective, sol.gram_condition_estimate]),
+                          np.array([obj, cond]))
+
+
+@pytest.mark.parametrize("n, width", [(600, 300), (300, 600)],
+                         ids=["primal", "dual"])
+def test_ridge_solve_holds_two_gram_sized_arrays(n, width):
+    # The system, the factor and nothing else of their size: no
+    # penalty * eye and no abs() copy beside the factor.
+    gen = np.random.default_rng(n)
+    b = gen.uniform(0.01, 1.0, (n, width))
+    y = gen.standard_normal(n)
+    ridge_solve(b[:8, :4], y[:8], 1.0)  # bind the LAPACK routines
+    tracemalloc.start()
+    try:
+        ridge_solve(b, y, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * min(n, width) ** 2 * 8, peak
+
+
 def _spd(n, seed):
     gen = np.random.default_rng(seed)
     b = gen.standard_normal((n + 3, n))
