@@ -9,14 +9,17 @@ with 64-bit integers.  Where the library lacks any of them, the routines
 come from scipy.linalg.lapack, the f2py wrappers that cho_factor,
 cho_solve, lu_factor, lu_solve and solve(assume_a="sym") call.
 
-Either binding offers potrf(a), pocon(c, anorm), potrs(c, b), getrf(a),
-getrs(lu, piv, b), sytrf(a) and sytrs(ldu, piv, b) for float64 matrices
-and right-hand-side vectors, called and returning as those wrappers do
-with the upper triangle, no cleaning of the other one and no transpose;
-sytrf takes the workspace size from an lwork = -1 query.  Inputs are
-copied, never overwritten.  LU pivots are opaque: 1-based here, 0-based
-from scipy.  Work arrays start on a 64-byte boundary, because dpocon's
-estimate of a large matrix moves in its last bits with their alignment.
+Either binding offers potrf(a, overwrite_a=False), pocon(c, anorm),
+potrs(c, b), getrf(a), getrs(lu, piv, b), sytrf(a) and sytrs(ldu, piv, b)
+for float64 matrices and right-hand-side vectors, called and returning as
+those wrappers do with the upper triangle, no cleaning of the other one
+and no transpose; sytrf takes the workspace size from an lwork = -1
+query.  Inputs are copied, never overwritten, except by potrf with
+overwrite_a true, which factors a writeable F-contiguous float64 a in
+place, as scipy's overwrite_a=1 does (another a is copied).  LU pivots
+are opaque: 1-based here, 0-based from scipy.  Work arrays start on a
+64-byte boundary, because dpocon's estimate of a large matrix moves in
+its last bits with their alignment.
 """
 
 import ctypes
@@ -45,7 +48,8 @@ def bind(lib):
             return lapack.dsytrf(a, lower=0, lwork=int(lwork))
 
         return SimpleNamespace(
-            potrf=functools.partial(lapack.dpotrf, lower=0, clean=0),
+            potrf=lambda a, overwrite_a=False: lapack.dpotrf(
+                a, lower=0, clean=0, overwrite_a=int(overwrite_a)),
             pocon=functools.partial(lapack.dpocon, uplo="U"),
             potrs=functools.partial(lapack.dpotrs, lower=0),
             getrf=lapack.dgetrf,
@@ -89,8 +93,9 @@ def _ctypes_routines(fns):
                              f"got shape {x.shape}")
         return x
 
-    def potrf(a):
-        c = np.array(a, dtype=float, order="F")
+    def potrf(a, overwrite_a=False):
+        c = (np.require(a, float, ["F", "W"]) if overwrite_a
+             else np.array(a, dtype=float, order="F"))
         n, ld = sizes(c)
         return c, call("dpotrf", b"U", n, c.ctypes.data, ld)
 

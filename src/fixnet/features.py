@@ -26,8 +26,8 @@ through a plan of instances:
 - a leaf instance is a leaf with its anchor: a cube tent or
   anchor-shifted monomial of coordinate k at each anchor of k, a
   projection tent at each (direction, anchor), and the raw monomials and
-  the constant one once each.  The leaf table holds each one's values,
-  evaluated in row blocks;
+  the constant one once each.  Their values are evaluated in row blocks,
+  and each leaf block is folded before the next is evaluated;
 - a node instance of the next level is a distinct pair of child
   instances, so a partial product is evaluated once per distinct
   sub-tuple of the anchors it depends on, and once for all features when
@@ -41,8 +41,8 @@ through a plan of instances:
   into the block's rows of the result.
 
 Both kinds of row block are sized by one entry budget,
-_BLOCK_ENTRY_BUDGET, so a build holds its result, the leaf table and
-temporaries of the order of the budget, however many rows it has.
+_BLOCK_ENTRY_BUDGET, so a build holds its result and temporaries of the
+order of the budget, however many rows it has.
 
 Every value passes through the same elementwise block recurrences, with
 the same operands in the same order, as in eval_feature, so the plan's
@@ -436,17 +436,18 @@ fold_product_tree = _fold_product_tree
 # ---------------------------------------------------------------------------
 
 # Cap on (row, instance) entries of one row block at the plan's widest
-# level, which bounds the fold's temporaries, and on (row, tent) entries
-# of one row block of the leaf table, which bounds the tent networks'.
+# level, which bounds the fold's temporaries, and, halved, on (row, tent)
+# entries of one leaf block, which bounds the tent networks' (see
+# eval_features); ridge reads its system in row blocks of this size.
 # On a 2-vCPU Xeon (2 MiB L2 per core) with numpy 2.4, interleaved builds
 # of a 4,000-row cube design (d=4, N=2, M=2; widest level 1,215) and an
 # 8,811-row projection design (d=6, N=2, M=16, r=4; widest level 1,904)
 # took, in medians of 7 at budgets 2^13, 2^14, 2^15 and 2^16: cube 0.27,
 # 0.24, 0.21, 0.21 s and projection 0.87, 0.73, 0.73, 0.81 s.  Smaller
 # blocks pay the per-call cost of f_mult's 32 ufunc calls more often;
-# larger ones leave L2.  The leaf table of that projection design (68
-# tent columns, so 481-row blocks) takes 81-85 ms in medians of 7, where
-# the whole-batch table took 149-153 ms.
+# larger ones leave L2.  The leaves of that projection design (68 tent
+# columns) took 81-85 ms in 481-row blocks, in medians of 7, and
+# 149-153 ms as one whole-batch table.
 _BLOCK_ENTRY_BUDGET = 2**15
 
 
@@ -473,10 +474,10 @@ def _leaf_codes(kind, d, N):
 def _leaf_instances(kind, d, M, r):
     """The leaf instances of a FeatureSet, as (V, ids).
 
-    V is the width of the _leaf_table, and ids[g, code] is its column for
-    the leaf coded code (see _leaf_codes) in group g: a cube tent or
-    monomial of coordinate k at the anchor index of k in g, the projection
-    tent of g, a raw monomial or the constant one.
+    V is the width of a leaf block (_leaf_blocks), and ids[g, code] is
+    its column for the leaf coded code (see _leaf_codes) in group g: a
+    cube tent or monomial of coordinate k at the anchor index of k in g,
+    the projection tent of g, a raw monomial or the constant one.
     """
     m1 = M + 1
     if kind == "cube":
@@ -498,7 +499,7 @@ def _plan(kind, d, N, M, r):
 
     Returns one (left, right) pair of index arrays per tree level above
     the leaves: instance i of a level is the product of instances left[i]
-    and right[i] of the level below, level 0 being the _leaf_table.  Below
+    and right[i] of the level below, level 0 being the leaf blocks.  Below
     the root, an instance is a distinct pair of child instances, so a node
     is evaluated once per distinct sub-tuple of the anchors it depends on
     (once for all groups when it depends on none).  The root level holds
@@ -525,17 +526,16 @@ def _plan(kind, d, N, M, r):
     return tuple(folds)
 
 
-def _leaf_table(fs, xb, params):
-    """(n, V) values of every leaf instance of fs, laid out as
-    _leaf_instances indexes them: the tents of coordinate k (cube) or
-    direction k (line) at anchor i in column k * (M+1) + i, then the
-    monomials, of coordinate l at anchor i (cube) or of coordinate l
-    (line), then the constant one.
+def _leaf_blocks(fs, xb, params, step):
+    """The values of every leaf instance of fs on blocks of step rows of
+    xb, as (start, values) pairs: start is the block's first row, and
+    values a (rows, V) array laid out as _leaf_instances indexes it: the
+    tents of coordinate k (cube) or direction k (line) at anchor i in
+    column k * (M+1) + i, then the monomials, of coordinate l at anchor i
+    (cube) or of coordinate l (line), then the constant one.
 
-    The tents and monomials are evaluated in blocks of at most
-    max(1, _BLOCK_ENTRY_BUDGET // tents) rows, tents being the number of
-    tent columns, and written into the table, so the tent network's
-    temporaries stay the order of the budget."""
+    Every block is written into one buffer, so a block must be used
+    before the next is drawn."""
     if fs.kind == "cube":
         inputs = xb
     else:
@@ -544,21 +544,21 @@ def _leaf_table(fs, xb, params):
         inputs = np.stack([xb @ np.array(b) for b in fs.directions], axis=1)
     n, n_tents = len(xb), inputs.shape[1] * (fs.M + 1)
     n_monos = n_tents if fs.kind == "cube" else fs.d
-    table = np.empty((n, n_tents + n_monos + 1))
-    table[:, -1] = 1.0
+    block = np.empty((min(step, n), n_tents + n_monos + 1))
+    block[:, -1] = 1.0
     anchors = np.tile(fs.grid, inputs.shape[1])
-    step = max(1, _BLOCK_ENTRY_BUDGET // n_tents)
     for start in range(0, n, step):
         rows = slice(start, start + step)
         points = np.repeat(inputs[rows], fs.M + 1, axis=1)
-        table[rows, :n_tents] = netblocks._hat_network(
+        values = block[:len(points)]
+        values[:, :n_tents] = netblocks._hat_network(
             points, anchors, fs.M, fs.half_width, fs.R)
         # leaf_specs shifts projection monomials by 0.0, which leaves
         # every x unchanged.
         monos = points - anchors if fs.kind == "cube" else xb[rows]
-        table[rows, n_tents:-1] = netblocks.f_id(netblocks.f_id(monos, params),
-                                                 params)
-    return table
+        values[:, n_tents:-1] = netblocks.f_id(netblocks.f_id(monos, params),
+                                               params)
+        yield start, values
 
 
 def eval_features(fs, xb):
@@ -567,49 +567,67 @@ def eval_features(fs, xb):
     Returns an (n, len(fs)) array whose column j equals
     eval_feature(xb, fs[j]) bit for bit.  The module docstring describes
     the plan that computes it.  Rows are folded in blocks of at most
-    max(1, _BLOCK_ENTRY_BUDGET // widest) rows, widest being the widest
-    level of the plan, so besides the result and the (n, V) leaf table
-    the fold holds seven buffers of at most max(_BLOCK_ENTRY_BUDGET,
-    widest) entries, which every block reuses: one-row blocks when J
-    exceeds the budget, whose temporaries are the order of one design
-    row.  The leaf table is built in row blocks of the same budget (see
-    _leaf_table), so while it is built a call holds, besides the table,
-    the order of a dozen temporaries of the budget's size and, for a
-    projection set, the n x r projections.
+    fold = max(1, _BLOCK_ENTRY_BUDGET // widest) rows, widest being the
+    widest level of the plan, in seven buffers of at most
+    max(_BLOCK_ENTRY_BUDGET, widest) entries, which every block reuses:
+    one-row blocks when J exceeds the budget, whose temporaries are the
+    order of one design row.  The leaves come from _leaf_blocks in blocks
+    of the largest multiple of fold rows up to _BLOCK_ENTRY_BUDGET //
+    (2 * tents), tents being the number of tent columns (at least fold
+    rows), each folded before the next is evaluated.  So besides its
+    result a call holds one leaf block, the fold's buffers, the
+    temporaries of one block's tent networks (the order of six arrays of
+    the budget's size) and, for a projection set, the n x r projections:
+    not the (n, V) values of every leaf at once.
     """
     r = 1 if fs.kind == "cube" else len(fs.directions)
     folds = _plan(fs.kind, fs.d, fs.degree_cap, fs.M, r)
     params = netblocks.BlockParams(R=fs.R)
-    table = _leaf_table(fs, xb, params)
-    if not folds:
-        # A one-leaf tree is the tent of its group g, column g of the table.
-        return table[:, :len(fs)].copy()
     n = xb.shape[0]
     out = np.empty((n, len(fs)))
+    # Half the budget per leaf block: the fold's buffers stay allocated
+    # while the next block's tent networks run, and those hold about a
+    # dozen temporaries of the block's tent entries.
+    tents = (fs.d if fs.kind == "cube" else r) * (fs.M + 1)
+    leaf_step = max(1, _BLOCK_ENTRY_BUDGET // (2 * tents))
+    if not folds:
+        # A one-leaf tree is the tent of its group g, leaf column g.
+        for first, leaves in _leaf_blocks(fs, xb, params, leaf_step):
+            out[first:first + len(leaves)] = leaves[:, :len(fs)]
+        return out
     widest = max(left.size for left, _ in folds)
     step = max(1, _BLOCK_ENTRY_BUDGET // widest)
     # The temporaries of every block live in these buffers.  Allocated
     # per block, arrays of this size come from mmap or from a heap top
     # that free() trims, depending on the heap's layout, and then every
-    # block faults their pages in again.
-    buffers = np.empty((7, min(step, n) * widest))
+    # block faults their pages in again.  They are allocated once the
+    # first leaf block's tent temporaries are freed: allocated before,
+    # 50 builds of 100 rows x 1,904 features took 18.4k page faults, not
+    # 1.8k.
+    buffers = None
 
     def buffer(i, shape):
         return buffers[i, :shape[0] * shape[1]].reshape(shape)
 
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        values = table[rows]
-        for level, (left, right) in enumerate(folds, 1):
-            shape = (values.shape[0], left.size)
-            # mode="clip" (the indices are in range) keeps np.take from
-            # gathering into a temporary of its own first.
-            x = np.take(values, left, axis=1, mode="clip", out=buffer(0, shape))
-            y = np.take(values, right, axis=1, mode="clip", out=buffer(1, shape))
-            values = netblocks.f_mult(
-                x, y, params,
-                out=out[rows] if level == len(folds) else buffer(2, shape),
-                scratch=[buffer(i, shape) for i in range(3, 7)])
+    for first, leaves in _leaf_blocks(fs, xb, params,
+                                      max(step, leaf_step // step * step)):
+        if buffers is None:
+            buffers = np.empty((7, min(step, n) * widest))
+        for start in range(0, len(leaves), step):
+            values = leaves[start:start + step]
+            rows = slice(first + start, first + start + len(values))
+            for level, (left, right) in enumerate(folds, 1):
+                shape = (values.shape[0], left.size)
+                # mode="clip" (the indices are in range) keeps np.take from
+                # gathering into a temporary of its own first.
+                x = np.take(values, left, axis=1, mode="clip",
+                            out=buffer(0, shape))
+                y = np.take(values, right, axis=1, mode="clip",
+                            out=buffer(1, shape))
+                values = netblocks.f_mult(
+                    x, y, params,
+                    out=out[rows] if level == len(folds) else buffer(2, shape),
+                    scratch=[buffer(i, shape) for i in range(3, 7)])
     return out
 
 

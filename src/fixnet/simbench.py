@@ -180,6 +180,27 @@ def _check_sample_rows(d, **rows):
                 f"maximum {ENTRY_BUDGET} entries; lower {key}")
 
 
+def _check_distance_rows(methods, n, eval_n):
+    """Refuse, before any draw, a distance baseline whose distances pass
+    ENTRY_BUDGET entries: the kernel, neighbor and rbf baselines hold the
+    distances of the n - n_learn held-out rows and of the eval_n
+    evaluation rows to their n_learn learning rows, and the rbf baseline
+    n_learn x n_learn of them for its system.  The message names the key
+    to lower."""
+    distance = [m for m in ("rbf", "kernel", "neighbor") if m in methods]
+    if not distance:
+        return
+    n_learn = baselines._learn_count(n)
+    # The rbf system's n_learn rows outnumber the held-out ones.
+    queries = n_learn if distance[0] == "rbf" else n - n_learn
+    for rows, key in ((queries, "n"), (eval_n, "eval_n")):
+        if rows * n_learn > ENTRY_BUDGET:
+            raise ParameterError(
+                f"the {distance[0]} baseline's distances of {rows} rows x "
+                f"{n_learn} learning rows exceed the supported maximum "
+                f"{ENTRY_BUDGET} entries; lower {key}")
+
+
 @dataclass(frozen=True)
 class CellResult:
     """One (target, noise, method) cell of the benchmark grid."""
@@ -277,6 +298,7 @@ class BenchConfig:
                     f"{key} must be at least 1, got {getattr(self, key)!r}")
         d = max((TARGETS[t].d for t in self.targets), default=0)
         _check_sample_rows(d, n=self.n, eval_n=self.eval_n)
+        _check_distance_rows(self.methods, self.n, self.eval_n)
         self._check_loops()
 
     def _check_loops(self):

@@ -419,6 +419,65 @@ def test_a_bench_sample_above_the_budget_exits_2(tmp_path, key):
                            f"lower {key}\n")
 
 
+def test_a_bench_whose_rbf_distances_exceed_the_budget_exits_2(tmp_path):
+    # 100,000 rows of m2 pass the sample rule, but the rbf baseline's
+    # 80,000 x 80,000 distances alone would be 47.7 GiB; the config is
+    # refused before any draw.
+    out = tmp_path / "out"
+    config = {"targets": ["m2"], "noises": [0.05], "methods": ["rbf"],
+              "n": 100_000, "eval_n": 10, "reps": 1, "ref_realizations": 1}
+    proc = _run_python(_MAIN_UNDER_1_GIB, "bench", "--config",
+                       _write_config(tmp_path / "c.json", config),
+                       "--output", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+    assert proc.stderr == ("error: the rbf baseline's distances of 80000 rows "
+                           "x 80000 learning rows exceed the supported "
+                           "maximum 16777216 entries; lower n\n")
+
+
+# cli.main's growth in resident memory past its imports: VmHWM at exit
+# minus VmRSS after importing fixnet.cli.  Both are the process's own
+# (ru_maxrss of a child would count its parent's size before exec).
+_MAIN_RSS_GROWTH = """
+import sys
+def status(key):
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) * 1024
+from fixnet.cli import main
+base = status("VmRSS")
+code = main(sys.argv[1:])
+print(code, status("VmHWM") - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmRSS and VmHWM from /proc/self/status")
+def test_a_smooth_fit_holds_its_design_and_one_system(tmp_path):
+    # perfbench's smooth_fit shape: 4,000 rows of d = 4 inputs, a cube
+    # design of J = 1,215 features (38.9 MB) and a 1,215^2 system
+    # (11.8 MB), solved in place.  A second copy of the system breaks
+    # the bound, which leaves 8 MiB for imports, buffers and the model.
+    n, J = 4000, 1215
+    x = Stream(24).uniform_matrix(n, 4, low=-1.0, high=1.0)
+    y = np.sin(x).sum(axis=1)
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,x3,x4,y\n" + "".join(
+        ",".join(f"{v:.17g}" for v in (*row, target)) + "\n"
+        for row, target in zip(x, y)))
+    proc = _run_python(_MAIN_RSS_GROWTH, "fit", "--config",
+                       _write_config(tmp_path / "fit.json",
+                                     {"estimator": "smooth", "N": 2, "M": 2}),
+                       "--input", str(train),
+                       "--output", str(tmp_path / "model.json"))
+    assert proc.returncode == 0, proc.stderr
+    code, growth = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    assert growth < n * J * 8 + 1.5 * J * J * 8 + 2**23, growth
+
+
 def test_importing_the_cli_does_not_load_scipy():
     proc = _run_python("import sys, fixnet.cli; "
                        "sys.exit(1 if 'scipy' in sys.modules else 0)")

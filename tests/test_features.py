@@ -457,24 +457,24 @@ def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2000, 8000])
-def test_leaf_table_temporaries_do_not_grow_with_the_batch(n):
-    # The pp_predict feature set: 68 tent columns, so blocks of 481 rows.
-    # Besides the table, the call holds the block's tent temporaries,
-    # about a dozen arrays of the entry budget, and the n x 4 projections;
-    # the bound allows 16 arrays.  The whole-batch table took 10x itself.
+def test_design_temporaries_do_not_grow_with_the_batch(n):
+    # The pp_predict feature set: 68 tent columns, so leaf blocks of 238
+    # rows, folded 17 rows at a time.  Besides the design, the call holds
+    # one leaf block, the fold's seven buffers, one block's tent
+    # temporaries and the n x 4 projections, not an (n, 75) leaf table;
+    # the bound allows 16 arrays of the entry budget.
     directions = Stream(4).uniform_matrix(4, 6, low=-1.0, high=1.0)
     feats = enumerate_features_pp(6, 2, 16, 1.0, 1e5, directions)
     x = Stream(n).uniform_matrix(n, 6, low=-1.0, high=1.0)
-    params = BlockParams(R=feats.R)
-    features._leaf_table(feats, x[:1], params)  # cached constants
+    features.eval_features(feats, x[:1])  # compile the plan, cache constants
     tracemalloc.start()
     try:
-        table = features._leaf_table(feats, x, params)
+        design = features.eval_features(feats, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.shape == (n, 68 + 6 + 1)
-    assert peak - table.nbytes < 16 * features._BLOCK_ENTRY_BUDGET * 8, peak
+    assert design.shape == (n, 1904)
+    assert peak - design.nbytes < 16 * features._BLOCK_ENTRY_BUDGET * 8, peak
 
 
 @st.composite

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import _ctypes
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixnet import _lapack, ridge
+from fixnet import _lapack, features as feat, ridge
 from fixnet.activation import admissibility_constants
 from fixnet.errors import ParameterError, SolverError
 from fixnet.features import (
@@ -246,26 +247,41 @@ def test_lu_fallback_is_reachable_and_passes_the_audit(monkeypatch):
     assert coefficient_bound_audit(sol, y)
 
 
-def _reference_ridge_solve(b, y, penalty):
-    """ridge_solve with the system formed out of place, as B^T B + p I
-    (or B B^T + p I), and its 1-norm taken after the factorization."""
-    n, width = b.shape
+def _reference_spd_solver(mat):
+    """ridge._spd_solver as it was with a copied factor: dpotrf factors a
+    copy of mat, and the 1-norm is np.linalg.norm's."""
     lapack = _lapack.routines()
-    mat = (b @ b.T + penalty * np.eye(n) if width > n
-           else b.T @ b + penalty * np.eye(width))
     factor, info = lapack.potrf(mat)
-    assert info == 0
+    if info > 0:
+        cond = float(np.linalg.cond(mat, 1))
+        lu, piv, info = lapack.getrf(mat)
+        assert info == 0
+        return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
     rcond, info = lapack.pocon(factor, np.linalg.norm(mat, 1))
     cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
+    return (lambda v: lapack.potrs(factor, v)[0]), cond
 
-    def solve(v):
-        return lapack.potrs(factor, v)[0]
 
+def _reference_ridge_solve(b, y, penalty):
+    """ridge_solve with the system formed out of place, as B^T B + p I
+    (or B B^T + p I), and factored in a copy (_reference_spd_solver)."""
+    n, width = b.shape
+    mat = (b @ b.T + penalty * np.eye(n) if width > n
+           else b.T @ b + penalty * np.eye(width))
+    solve, cond = _reference_spd_solver(mat)
     if width > n:
         coef = b.T @ ridge._refined_solve(mat, y, solve, cond)
     else:
         coef = ridge._refined_solve(mat, b.T @ y, solve, cond)
     return coef, objective_value(b, y, coef, penalty), cond
+
+
+def _assert_solves_bitwise_equal(b, y, penalty):
+    sol = ridge_solve(b, y, penalty)
+    coef, obj, cond = _reference_ridge_solve(b, y, penalty)
+    assert _bitwise_equal(sol.coefficients, coef)
+    assert _bitwise_equal(np.array([sol.objective, sol.gram_condition_estimate]),
+                          np.array([obj, cond]))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -274,20 +290,119 @@ def _reference_ridge_solve(b, y, penalty):
 def test_in_place_system_is_bitwise_the_out_of_place_one(n, width, penalty,
                                                          seed):
     gen = np.random.default_rng(seed)
+    _assert_solves_bitwise_equal(gen.uniform(-1.0, 1.0, (n, width)),
+                                 gen.standard_normal(n), penalty)
+
+
+def test_in_place_lu_path_is_bitwise_the_copy_based_one(monkeypatch):
+    # The system of test_lu_fallback_is_reachable_and_passes_the_audit,
+    # on which dpotrf meets a non-positive pivot.
+    routines = _lapack.routines()
+    calls = []
+    getrf = routines.getrf
+
+    def spy(mat):
+        calls.append(mat.copy())
+        return getrf(mat)
+
+    monkeypatch.setattr(routines, "getrf", spy)
+    gen = np.random.default_rng(3)
+    b = gen.standard_normal((6, 3))
+    b[:, 2] = b[:, 1]
+    _assert_solves_bitwise_equal(b, gen.standard_normal(6), 1e-20)
+    # Both factored the same matrix: the in-place dpotrf's triangle was
+    # restored before dgetrf and np.linalg.cond read it.
+    assert len(calls) == 2 and _bitwise_equal(calls[0], calls[1])
+
+
+@pytest.mark.parametrize("n, width", [(40, 12), (12, 40)],
+                         ids=["primal", "dual"])
+def test_forced_refinement_is_bitwise_the_copy_based_one(monkeypatch, n,
+                                                         width):
+    # No residual meets a target of 0, so every solve refines once and
+    # then raises.  The refinement step factors a copy of the restored
+    # system; its solutions must be those of the one factor of the
+    # reference.
+    monkeypatch.setattr(ridge, "_RESIDUAL_TARGET", 0.0)
+    routines = _lapack.routines()
+    solutions = []
+    potrs = routines.potrs
+
+    def spy(c, v):
+        x, info = potrs(c, v)
+        solutions.append(x)
+        return x, info
+
+    monkeypatch.setattr(routines, "potrs", spy)
+    gen = np.random.default_rng(n)
     b = gen.uniform(-1.0, 1.0, (n, width))
     y = gen.standard_normal(n)
-    sol = ridge_solve(b, y, penalty)
-    coef, obj, cond = _reference_ridge_solve(b, y, penalty)
-    assert _bitwise_equal(sol.coefficients, coef)
-    assert _bitwise_equal(np.array([sol.objective, sol.gram_condition_estimate]),
-                          np.array([obj, cond]))
+    with pytest.raises(SolverError) as got:
+        ridge_solve(b, y, 0.1)
+    assert len(solutions) == 2
+    with pytest.raises(SolverError) as want:
+        _reference_ridge_solve(b, y, 0.1)
+    assert len(solutions) == 4
+    assert str(got.value) == str(want.value)
+    assert got.value.condition_estimate == want.value.condition_estimate
+    assert all(map(_bitwise_equal, solutions[:2], solutions[2:]))
+
+
+def test_spd_solver_restores_the_system_after_its_first_solve():
+    mat, rhs = _spd(100, 5)
+    work = mat.copy()
+    solve, cond = ridge._spd_solver(work)
+    assert not _bitwise_equal(work, mat)  # the factor, in place
+    first = solve(rhs)
+    assert _bitwise_equal(work, mat)
+    assert _bitwise_equal(solve(rhs), first)  # from a copy of work
+    assert _bitwise_equal(work, mat)
+    ref_solve, ref_cond = _reference_spd_solver(mat)
+    assert cond == ref_cond and _bitwise_equal(first, ref_solve(rhs))
+
+
+@pytest.mark.parametrize("n", [100, 1215])
+def test_in_place_factor_is_bitwise_the_copy_at_any_alignment(n):
+    # J = 1,215 is the smooth fit's system, factored on the threaded
+    # path.  The matrix starts at eight 8-byte offsets in turn; the upper
+    # triangle of mat.T is the factor, and mat's own strict upper
+    # triangle is left as it was.
+    mat, _ = _spd(n, n)
+    want, info = _lapack.routines().potrf(mat)
+    assert info == 0
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    for offset in range(8):
+        raw = np.empty(n * n + 8)
+        work = raw[offset:offset + n * n].reshape(n, n)
+        work[...] = mat
+        got, info = _lapack.routines().potrf(work.T, overwrite_a=True)
+        assert info == 0 and np.shares_memory(got, work)
+        assert _bitwise_equal(got, want), offset
+        assert _bitwise_equal(work[upper], mat[upper])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(rows=st.integers(1, 300), cols=st.integers(2, 300),
+       square=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+def test_blocked_one_norm_is_bitwise_numpys(rows, cols, square, seed, data):
+    # Square systems of every size, and any matrix of two or more
+    # columns: numpy sums a lone column, which is contiguous, pairwise.
+    # Blocks of one row, of two, of all rows but one, all, one more
+    # than there are, and about half.
+    cols = rows if square else cols
+    step = data.draw(st.sampled_from(
+        [1, 2, max(1, rows - 1), rows, rows + 1, rows // 2 + 1]))
+    mat = np.random.default_rng(seed).standard_normal((rows, cols))
+    with mock.patch.object(feat, "_BLOCK_ENTRY_BUDGET", step * cols):
+        got = ridge._one_norm(mat)
+    assert _bitwise_equal(np.array([got]), np.array([np.linalg.norm(mat, 1)]))
 
 
 @pytest.mark.parametrize("n, width", [(600, 300), (300, 600)],
                          ids=["primal", "dual"])
-def test_ridge_solve_holds_two_gram_sized_arrays(n, width):
-    # The system, the factor and nothing else of their size: no
-    # penalty * eye and no abs() copy beside the factor.
+def test_ridge_solve_holds_one_gram_sized_array(n, width):
+    # The system and nothing else of its size: no penalty * eye, no
+    # abs() copy for the 1-norm and no copy for dpotrf to factor.
     gen = np.random.default_rng(n)
     b = gen.uniform(0.01, 1.0, (n, width))
     y = gen.standard_normal(n)
@@ -298,7 +413,7 @@ def test_ridge_solve_holds_two_gram_sized_arrays(n, width):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * min(n, width) ** 2 * 8, peak
+    assert peak < 1.5 * min(n, width) ** 2 * 8, peak
 
 
 def _spd(n, seed):
@@ -401,9 +516,9 @@ def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
     fallback = _lapack.bind(ctypes.CDLL(_ctypes.__file__))
     assert fallback.getrf is scipy.linalg.lapack.dgetrf
     mat, rhs = _spd(40, 7)
-    solve, cond = ridge._spd_solver(mat)
+    solve, cond = ridge._spd_solver(mat.copy())
     monkeypatch.setattr(_lapack, "routines", lambda: fallback)
-    fb_solve, fb_cond = ridge._spd_solver(mat)
+    fb_solve, fb_cond = ridge._spd_solver(mat.copy())
     assert fb_cond == cond and _bitwise_equal(fb_solve(rhs), solve(rhs))
     lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
     fb_lu, fb_piv, info = fallback.getrf(mat)
@@ -419,6 +534,26 @@ def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
     assert _bitwise_equal(fb_ldu, ldu) and np.array_equal(fb_piv, piv)
     want = _lapack.routines().sytrs(ldu, piv, rhs)[0]
     assert _bitwise_equal(fallback.sytrs(fb_ldu, fb_piv, rhs)[0], want)
+
+
+@pytest.mark.parametrize("n, width", [(40, 12), (12, 40)],
+                         ids=["primal", "dual"])
+def test_scipy_fallback_factors_in_place_with_the_same_bits(monkeypatch, n,
+                                                            width):
+    fallback = _lapack.bind(ctypes.CDLL(_ctypes.__file__))
+    mat, _ = _spd(30, 2)
+    work = mat.copy()
+    got, info = fallback.potrf(work.T, overwrite_a=True)
+    assert info == 0 and np.shares_memory(got, work)
+    assert _bitwise_equal(got, fallback.potrf(mat)[0])
+    gen = np.random.default_rng(width)
+    b = gen.uniform(-1.0, 1.0, (n, width))
+    y = gen.standard_normal(n)
+    want = ridge_solve(b, y, 0.1)
+    monkeypatch.setattr(_lapack, "routines", lambda: fallback)
+    _assert_solves_bitwise_equal(b, y, 0.1)
+    assert _bitwise_equal(ridge_solve(b, y, 0.1).coefficients,
+                          want.coefficients)
 
 
 def test_bound_routines_refuse_shapes_lapack_would_overrun():

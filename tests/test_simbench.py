@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fixnet import simbench
+from fixnet import baselines, simbench
 from fixnet.data import Dataset
 from fixnet.errors import ParameterError
+from fixnet.features import ENTRY_BUDGET
 from fixnet.rng import Stream
 from fixnet.simbench import (
     STANDARD_NOISES,
@@ -212,7 +213,8 @@ def test_sample_sizes_are_bounded_by_the_entry_budget():
     BenchConfig.quick()
     BenchConfig.quick(targets=("m2",), noises=(0.05,), reps=2)
     RateConfig()
-    BenchConfig.quick(targets=("m2",), n=2**22, eval_n=2**22)
+    BenchConfig.quick(targets=("m2",), n=2**22, eval_n=2**22,
+                      methods=("constant", "proj-neural", "smooth-neural"))
     for key in ("n", "eval_n"):
         with pytest.raises(ParameterError,
                            match=f"^sample of {key}=4194305 rows x d=4 "):
@@ -222,6 +224,39 @@ def test_sample_sizes_are_bounded_by_the_entry_budget():
         RateConfig(sample_sizes=(1, 2, 3, 2**23 + 1))
     with pytest.raises(ParameterError, match="^sample of eval_n="):
         RateConfig(eval_n=2**23 + 1)
+
+
+def test_distance_baselines_are_bounded_by_the_entry_budget():
+    # The kernel, neighbor and rbf baselines hold the distances of the
+    # held-out and of the eval_n rows to the n_learn learning rows, and
+    # the rbf baseline n_learn^2 of them; at most 2^24 each.  The full
+    # and quick protocols and perfbench's bench_m2 config are admitted
+    # (test_sample_sizes_are_bounded_by_the_entry_budget).
+    n_learn = baselines._learn_count(100)
+    edge = ENTRY_BUDGET // n_learn
+    for method in ("kernel", "neighbor", "rbf"):
+        BenchConfig.quick(methods=(method,), eval_n=edge)
+        with pytest.raises(ParameterError, match=(
+                f"^the {method} baseline's distances of {edge + 1} rows x "
+                f"{n_learn} learning rows exceed the supported maximum "
+                f"{ENTRY_BUDGET} entries; lower eval_n$")):
+            BenchConfig.quick(methods=("constant", method), eval_n=edge + 1)
+    BenchConfig.quick(methods=("constant", "proj-neural"), eval_n=edge + 1)
+    # The rbf system: n_learn = 4,096 is admitted, 4,097 is not.
+    assert baselines._learn_count(5121) == 4096
+    assert baselines._learn_count(5122) == 4097
+    BenchConfig.quick(methods=("rbf",), n=5121, eval_n=10)
+    with pytest.raises(ParameterError, match="^the rbf baseline's distances "
+                       "of 4097 rows x 4097 learning rows .*; lower n$"):
+        BenchConfig.quick(methods=("rbf",), n=5122, eval_n=10)
+    BenchConfig.quick(methods=("kernel", "neighbor"), n=5122, eval_n=10)
+    # The held-out rows of the kernel and neighbor baselines.
+    big = 12_000
+    assert (big - baselines._learn_count(big)) * baselines._learn_count(big) \
+        > ENTRY_BUDGET
+    with pytest.raises(ParameterError, match="^the kernel baseline's .*; "
+                       "lower n$"):
+        BenchConfig.quick(methods=("kernel", "neighbor"), n=big, eval_n=10)
 
 
 def test_the_loop_budget_admits_every_protocol(monkeypatch):
