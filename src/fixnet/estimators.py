@@ -25,6 +25,15 @@ from .errors import EstimatorError, ParameterError, SolverError
 
 _SELECTION_MODES = ("penalized", "risk")
 _MODEL_KINDS = {"cube": "smooth", "line": "projection"}
+# Design entries of one predict block (16 MiB), an eighth of the size
+# rule's budget; see predict.  The block size moves no bit.  On a 2-vCPU
+# Xeon (2 MiB L2 per core) with numpy 2.4, predict of a J = 1,904
+# projection model on 20,000 queries took 1.30, 1.17, 1.15, 1.27 and
+# 1.30 s at 2^19, 2^20, 2^21, 2^22 and 2^24 entries, in medians of 11
+# interleaved runs in one process, and the `fixnet predict` process
+# peaked at 42.2, 46.2, 54.5, 70.3 and 166.3 MB.  Smaller blocks pay the
+# feature build's per-call cost more often.
+_PREDICT_ENTRIES = feat.ENTRY_BUDGET // 8
 
 
 def __getattr__(name):
@@ -327,26 +336,36 @@ def predict(estimator, x):
     first.  So a query far outside the cube (1e10 for a unit-cube fit)
     and a tiny h (1e-300) give finite predictions.  Inside the cube, the
     features stay finite because the enumeration refuses (2h)^N > R for
-    N >= 1, at fit and at model load alike.  Large batches are evaluated
-    in row chunks to bound memory.  Chunking can change the last bits of
-    a prediction, because a row's value from one BLAS matrix-vector call
-    depends on OpenBLAS's 4-row kernel groups and on its split of the rows
-    between threads.  On a random 8,811 x 1,904 matrix, one thread gave
-    the bits of the whole call for blocks of any multiple of 4 rows, but
-    17-row blocks moved 439 rows and single-row dots 186 of 200.  On two
-    threads, blocks of a multiple of 4 rows moved 4 rows too, two at the
-    split and two at the end, by up to 1.1e-13.  So no row-blocked
-    evaluation keeps these bits, and the chunking test allows 1e-12.  A
-    (0, d) batch gives an empty array.
+    N >= 1, at fit and at model load alike.  A (0, d) batch gives an
+    empty array.
+
+    The queries are evaluated in row blocks, each its own design and one
+    BLAS matrix-vector product with the coefficients.  A block is the
+    largest multiple of 64 rows within _PREDICT_ENTRIES = 2^21 design
+    entries (1,088 rows for J = 1,904), and at least 64 rows; a model
+    whose 64 rows would exceed features.ENTRY_BUDGET takes blocks of
+    ENTRY_BUDGET // J rows.  The blocks keep every row's bits.
+    OpenBLAS splits a product's rows between its threads into two halves
+    when it uses two, and each thread sums its rows in 4-row kernel
+    groups; the rows left over at the end of a thread's range take
+    another kernel, with other last bits.  A block of a multiple of 8
+    rows splits into halves of a multiple of 4, so each of its rows gets
+    the bits of a one-thread product over the whole batch, whatever the
+    block size and the thread count.  Only the rows of a last block whose
+    row count is not a multiple of 8 can depend on the thread count.
     """
     batch, single = as_batch(x, estimator.d)
     if not np.all(np.isfinite(batch)):  # the clamp would make inf finite
         raise ParameterError("input batch contains non-finite values")
     batch = _clamped_inputs(batch, estimator.domain_half, "predict", "queries")
-    step = max(1, feat.ENTRY_BUDGET // max(estimator.width, 1))
+    width = max(estimator.width, 1)
+    if 64 * width > feat.ENTRY_BUDGET:
+        step = max(1, feat.ENTRY_BUDGET // width)
+    else:
+        step = max(64, _PREDICT_ENTRIES // width // 64 * 64)
     raw = np.empty(batch.shape[0])
     for i in range(0, batch.shape[0], step):
-        # No name holds the design, so each chunk's matrix is freed before
+        # No name holds the design, so each block's matrix is freed before
         # the next one is built.
         raw[i : i + step] = (ridge.build_design_matrix(
             estimator.features, batch[i : i + step]).values

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixnet import ridge
-from fixnet.estimators import load_estimator, predict
+from fixnet.data import Dataset
+from fixnet.estimators import (PPConfig, fit_pp, load_estimator, predict,
+                               save_estimator)
 from fixnet.features import count_features_pp, eval_feature
 from fixnet.cli import (block_check_rows, build_parser, decay_check_rows,
                         main, run_approx_check)
@@ -38,8 +40,8 @@ def _write_training_csv(path, n=16, seed=0):
 
 
 def _write_query_csv(path, rows):
-    lines = ["x1,x2"]
-    lines.extend(f"{a:.17g},{b:.17g}" for a, b in rows)
+    lines = [",".join(f"x{j + 1}" for j in range(len(rows[0])))]
+    lines.extend(",".join(f"{v:.17g}" for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -453,8 +455,22 @@ print(code, status("VmHWM") - base)
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads VmRSS and VmHWM from /proc/self/status")
+def _main_rss_growth(*argv):
+    """cli.main(argv)'s resident growth in a fresh process, in bytes,
+    after checking that the command succeeded."""
+    proc = _run_python(_MAIN_RSS_GROWTH, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, growth = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    return growth
+
+
+_READS_PROC_STATUS = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"),
+    reason="reads VmRSS and VmHWM from /proc/self/status")
+
+
+@_READS_PROC_STATUS
 def test_a_smooth_fit_holds_its_design_and_one_system(tmp_path):
     # perfbench's smooth_fit shape: 4,000 rows of d = 4 inputs, a cube
     # design of J = 1,215 features (38.9 MB) and a 1,215^2 system
@@ -467,15 +483,39 @@ def test_a_smooth_fit_holds_its_design_and_one_system(tmp_path):
     train.write_text("x1,x2,x3,x4,y\n" + "".join(
         ",".join(f"{v:.17g}" for v in (*row, target)) + "\n"
         for row, target in zip(x, y)))
-    proc = _run_python(_MAIN_RSS_GROWTH, "fit", "--config",
-                       _write_config(tmp_path / "fit.json",
-                                     {"estimator": "smooth", "N": 2, "M": 2}),
-                       "--input", str(train),
-                       "--output", str(tmp_path / "model.json"))
-    assert proc.returncode == 0, proc.stderr
-    code, growth = map(int, proc.stdout.splitlines()[-1].split())
-    assert code == 0
+    growth = _main_rss_growth(
+        "fit", "--config", _write_config(tmp_path / "fit.json",
+                                         {"estimator": "smooth", "N": 2,
+                                          "M": 2}),
+        "--input", str(train), "--output", str(tmp_path / "model.json"))
     assert growth < n * J * 8 + 1.5 * J * J * 8 + 2**23, growth
+
+
+@_READS_PROC_STATUS
+def test_predict_holds_one_design_block(tmp_path):
+    # perfbench's pp_predict shape: 20,000 queries of a J = 1,904
+    # projection model (d = 6, r = 4, N = 2, M = 16).  predict builds its
+    # design in blocks of 1,088 rows (15.8 MiB).  The bound is one 16 MiB
+    # block and 16 MiB for the parsed queries, the output lines and the
+    # feature build's buffers, which take about 9 MiB; a second block
+    # held at once breaks it, as does a design of 2^24 entries (128 MiB).
+    d, J = 6, 1904
+    stream = Stream(25)
+    x = stream.uniform_matrix(100, d, low=-1.0, high=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        est = fit_pp(Dataset(x, np.sin(x).sum(axis=1)),
+                     PPConfig(r=4, N=2, M=16, trials=1))
+    assert est.width == J
+    model = tmp_path / "model.json"
+    save_estimator(est, model)
+    queries = tmp_path / "queries.csv"
+    _write_query_csv(queries, stream.uniform_matrix(20_000, d, low=-1.0,
+                                                    high=1.0))
+    growth = _main_rss_growth("predict", "--model", str(model), "--input",
+                              str(queries), "--output",
+                              str(tmp_path / "pred.csv"))
+    assert growth < 2**21 * 8 + 2**24, growth
 
 
 def test_importing_the_cli_does_not_load_scipy():

@@ -2,6 +2,7 @@
 selection bookkeeping, and serialization."""
 
 import contextlib
+import ctypes
 import dataclasses
 import json
 import math
@@ -209,17 +210,117 @@ def test_predict_handles_points_and_batches():
     assert np.array_equal(batch, via_call)
 
 
-def test_predict_chunking_does_not_change_values(monkeypatch):
-    # Not bitwise: a row's value from one BLAS matrix-vector call depends
-    # on the row's place in the call, so chunks may move the last bits.
+@pytest.mark.parametrize("entries, budget, rows", [
+    (200, None, 192),  # the largest multiple of 64 rows within the entries
+    (10, None, 64),    # at least 64 rows
+    (None, 50, 50),    # 64 rows above ENTRY_BUDGET: ENTRY_BUDGET // J rows
+])
+def test_predict_is_its_blocks_designs_times_the_coefficients(
+        monkeypatch, entries, budget, rows):
+    # The documented blocks, bit for bit: each block's design times the
+    # coefficients, truncated, with entries and budget given in units of J.
     data = _toy_data(40, seed=11)
     with _quiet():
         est = fit_pp(data, PP_SMALL)
-        queries = Stream(12).uniform_matrix(64, 2, low=-1.0, high=1.0)
-        whole = predict(est, queries)
-        monkeypatch.setattr(estimators.feat, "ENTRY_BUDGET", est.width * 7)
-        chunked = predict(est, queries)
-    assert np.max(np.abs(whole - chunked)) <= 1e-12
+    J = est.width
+    if entries is not None:
+        monkeypatch.setattr(estimators, "_PREDICT_ENTRIES", entries * J)
+    if budget is not None:
+        monkeypatch.setattr(estimators.feat, "ENTRY_BUDGET", budget * J)
+    queries = Stream(12).uniform_matrix(1000, 2, low=-1.0, high=1.0)
+    build_design_matrix = estimators.ridge.build_design_matrix
+    built = []
+
+    def build(features, x):
+        built.append(len(x))
+        return build_design_matrix(features, x)
+
+    monkeypatch.setattr(estimators.ridge, "build_design_matrix", build)
+    with _quiet():
+        got = predict(est, queries)
+    starts = range(0, len(queries), rows)
+    assert built == [len(queries[i:i + rows]) for i in starts]
+    with _quiet():
+        want = np.concatenate([
+            build_design_matrix(est.features, queries[i:i + rows]).values
+            @ est.coefficients for i in starts])
+    assert np.array_equal(got, np.clip(want, -est.beta, est.beta))
+
+
+def test_predict_bits_do_not_depend_on_a_64_row_block_size(monkeypatch):
+    # J = 408.  OpenBLAS splits a matrix-vector product between its
+    # threads only above some size (460,800 entries in numpy 2.4's
+    # OpenBLAS 0.3.31), so the blocks of 1,280 rows and more are
+    # two-thread calls where it has two; every block of a multiple of 64
+    # rows keeps every row's bits.
+    data = _toy_data(40, seed=11)
+    with _quiet():
+        est = fit_pp(data, PPConfig(r=4, N=2, M=16, R=1e5, trials=1, seed=3))
+    assert est.width == 408
+    queries = Stream(12).uniform_matrix(4096, 2, low=-1.0, high=1.0)
+    got = {}
+    for rows in (64, 192, 1280, 1344, 2048, 4096):
+        monkeypatch.setattr(estimators, "_PREDICT_ENTRIES", rows * est.width)
+        with _quiet():
+            got[rows] = predict(est, queries)
+    for rows, values in got.items():
+        assert np.array_equal(values, got[4096]), rows
+
+
+@pytest.fixture
+def blas_threads():
+    """Sets the thread count of numpy's OpenBLAS, restored afterwards."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        pytest.skip("numpy's OpenBLAS does not export "
+                    "scipy_openblas_set_num_threads64_")
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    get_threads.restype = ctypes.c_int
+    before = get_threads()
+
+    def use(count):
+        set_threads(count)
+        if get_threads() != count:
+            pytest.skip(f"OpenBLAS does not run {count} threads here")
+
+    yield use
+    set_threads(before)
+
+
+def _ragged_rows(lengths):
+    """The rows outside whole 4-row groups when consecutive ranges of the
+    given lengths are summed each in 4-row groups from its start."""
+    rows, start = set(), 0
+    for length in lengths:
+        rows.update(range(start + length - length % 4, start + length))
+        start += length
+    return rows
+
+
+@pytest.mark.parametrize("n, J", [(8811, 1904), (10_000, 1020), (9362, 1792)])
+def test_64_row_blocks_give_one_thread_bits_on_two_threads(blas_threads, n, J):
+    # predict's argument for its blocks, on its block rule: OpenBLAS halves
+    # a product's rows between two threads, and each thread's leftover
+    # rows past its 4-row groups take another kernel.  A block of a
+    # multiple of 8 rows thus has the one-thread bits of the whole batch,
+    # be it predict's block or a smaller one, while one two-thread call
+    # over the batch may differ at its ragged rows only: those of its two
+    # halves and of the one-thread call.
+    a = np.random.default_rng(0).standard_normal((n, J))
+    c = np.random.default_rng(1).standard_normal(J)
+    blas_threads(1)
+    one = a @ c
+    blas_threads(2)
+    for rows in (estimators._PREDICT_ENTRIES // J // 64 * 64, 256, 264, 272):
+        blocks = np.concatenate([a[i:i + rows] @ c
+                                 for i in range(0, n, rows)])
+        assert np.array_equal(blocks, one), rows
+    moved = set(np.flatnonzero(a @ c != one).tolist())
+    assert moved <= _ragged_rows([(n + 1) // 2, n // 2]) | _ragged_rows([n])
 
 
 def test_empirical_l2_risk_matches_manual_mean():
