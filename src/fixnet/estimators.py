@@ -225,7 +225,11 @@ class FittedEstimator:
 
 def _clamped_inputs(x, half, label, inputs="training inputs"):
     """x clipped to the model's cube [-half, half]^d, with a warning if
-    any coordinate lies outside; the features are built for that cube."""
+    any coordinate lies outside; the features are built for that cube.
+    A non-finite x raises ParameterError first: the clamp would make inf
+    finite."""
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{label}: {inputs} contain non-finite values")
     if np.any(np.abs(x) > half):
         warnings.warn(
             f"{label}: {inputs} outside [-{half:g}, {half:g}]^d were "
@@ -355,8 +359,6 @@ def predict(estimator, x):
     row count is not a multiple of 8 can depend on the thread count.
     """
     batch, single = as_batch(x, estimator.d)
-    if not np.all(np.isfinite(batch)):  # the clamp would make inf finite
-        raise ParameterError("input batch contains non-finite values")
     batch = _clamped_inputs(batch, estimator.domain_half, "predict", "queries")
     width = max(estimator.width, 1)
     if 64 * width > feat.ENTRY_BUDGET:

@@ -474,8 +474,11 @@ def _leaf_codes(kind, d, N):
 def _leaf_instances(kind, d, M, r):
     """The leaf instances of a FeatureSet, as (V, ids).
 
-    V is the width of a leaf block (_leaf_blocks), and ids[g, code] is
-    its column for the leaf coded code (see _leaf_codes) in group g: a
+    V is the width of a leaf block of eval_features, whose columns hold
+    the tents of coordinate k (cube) or direction k (line) at anchor i in
+    column k * (M+1) + i, then the monomials, of coordinate l at anchor i
+    (cube) or of coordinate l (line), then the constant one.  ids[g, code]
+    is the column of the leaf coded code (see _leaf_codes) in group g: a
     cube tent or monomial of coordinate k at the anchor index of k in g,
     the projection tent of g, a raw monomial or the constant one.
     """
@@ -526,96 +529,86 @@ def _plan(kind, d, N, M, r):
     return tuple(folds)
 
 
-def _leaf_blocks(fs, xb, params, step):
-    """The values of every leaf instance of fs on blocks of step rows of
-    xb, as (start, values) pairs: start is the block's first row, and
-    values a (rows, V) array laid out as _leaf_instances indexes it: the
-    tents of coordinate k (cube) or direction k (line) at anchor i in
-    column k * (M+1) + i, then the monomials, of coordinate l at anchor i
-    (cube) or of coordinate l (line), then the constant one.
-
-    Every block is written into one buffer, so a block must be used
-    before the next is drawn."""
-    if fs.kind == "cube":
-        inputs = xb
-    else:
-        # Each projection is its own matrix-vector product over the whole
-        # batch, as in eval_leaf; a row block would move its bits.
-        inputs = np.stack([xb @ np.array(b) for b in fs.directions], axis=1)
-    n, n_tents = len(xb), inputs.shape[1] * (fs.M + 1)
-    n_monos = n_tents if fs.kind == "cube" else fs.d
-    block = np.empty((min(step, n), n_tents + n_monos + 1))
-    block[:, -1] = 1.0
-    anchors = np.tile(fs.grid, inputs.shape[1])
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        points = np.repeat(inputs[rows], fs.M + 1, axis=1)
-        values = block[:len(points)]
-        values[:, :n_tents] = netblocks._hat_network(
-            points, anchors, fs.M, fs.half_width, fs.R)
-        # leaf_specs shifts projection monomials by 0.0, which leaves
-        # every x unchanged.
-        monos = points - anchors if fs.kind == "cube" else xb[rows]
-        values[:, n_tents:-1] = netblocks.f_id(netblocks.f_id(monos, params),
-                                               params)
-        yield start, values
-
-
 def eval_features(fs, xb):
     """Evaluate every feature of the FeatureSet fs on an (n, d) batch xb.
 
     Returns an (n, len(fs)) array whose column j equals
     eval_feature(xb, fs[j]) bit for bit.  The module docstring describes
-    the plan that computes it.  Rows are folded in blocks of at most
-    fold = max(1, _BLOCK_ENTRY_BUDGET // widest) rows, widest being the
-    widest level of the plan, in seven buffers of at most
-    max(_BLOCK_ENTRY_BUDGET, widest) entries, which every block reuses:
-    one-row blocks when J exceeds the budget, whose temporaries are the
-    order of one design row.  The leaves come from _leaf_blocks in blocks
-    of the largest multiple of fold rows up to _BLOCK_ENTRY_BUDGET //
-    (2 * tents), tents being the number of tent columns (at least fold
-    rows), each folded before the next is evaluated.  So besides its
-    result a call holds one leaf block, the fold's buffers, the
-    temporaries of one block's tent networks (the order of six arrays of
-    the budget's size) and, for a projection set, the n x r projections:
-    not the (n, V) values of every leaf at once.
+    the plan that computes it.  Rows are taken in leaf blocks: each
+    block's leaves are evaluated into one buffer, then folded in
+    sub-blocks before the next block is evaluated.  With widest the
+    widest level of the plan (_BLOCK_ENTRY_BUDGET when the trees have
+    one leaf) and tents the number of tent columns,
+
+        fold step = max(1, _BLOCK_ENTRY_BUDGET // widest),
+        leaf step = the largest multiple of the fold step up to
+                    _BLOCK_ENTRY_BUDGET // (2 * tents), and at least
+                    one fold step.
+
+    The fold runs in seven buffers of at most
+    max(_BLOCK_ENTRY_BUDGET, widest) entries, which every sub-block
+    reuses: one-row sub-blocks when J exceeds the budget, whose
+    temporaries are the order of one design row.  Only half the budget
+    goes to a leaf block because the fold's buffers stay allocated while
+    the next block's tent networks run, and those hold about a dozen
+    temporaries of the block's tent entries.  So besides its result a
+    call holds one leaf block, the fold's buffers, the temporaries of
+    one block's tent networks and, for a projection set, the n x r
+    projections: not the (n, V) values of every leaf at once.
     """
     r = 1 if fs.kind == "cube" else len(fs.directions)
     folds = _plan(fs.kind, fs.d, fs.degree_cap, fs.M, r)
     params = netblocks.BlockParams(R=fs.R)
     n = xb.shape[0]
     out = np.empty((n, len(fs)))
-    # Half the budget per leaf block: the fold's buffers stay allocated
-    # while the next block's tent networks run, and those hold about a
-    # dozen temporaries of the block's tent entries.
-    tents = (fs.d if fs.kind == "cube" else r) * (fs.M + 1)
-    leaf_step = max(1, _BLOCK_ENTRY_BUDGET // (2 * tents))
-    if not folds:
-        # A one-leaf tree is the tent of its group g, leaf column g.
-        for first, leaves in _leaf_blocks(fs, xb, params, leaf_step):
-            out[first:first + len(leaves)] = leaves[:, :len(fs)]
-        return out
-    widest = max(left.size for left, _ in folds)
+    if fs.kind == "cube":
+        inputs = xb
+    else:
+        # Each projection is its own matrix-vector product over the whole
+        # batch, as in eval_leaf; a row block would move its bits.
+        inputs = np.stack([xb @ np.array(b) for b in fs.directions], axis=1)
+    tents = inputs.shape[1] * (fs.M + 1)
+    widest = max((left.size for left, _ in folds),
+                 default=_BLOCK_ENTRY_BUDGET)
     step = max(1, _BLOCK_ENTRY_BUDGET // widest)
-    # The temporaries of every block live in these buffers.  Allocated
-    # per block, arrays of this size come from mmap or from a heap top
-    # that free() trims, depending on the heap's layout, and then every
-    # block faults their pages in again.  They are allocated once the
-    # first leaf block's tent temporaries are freed: allocated before,
-    # 50 builds of 100 rows x 1,904 features took 18.4k page faults, not
-    # 1.8k.
+    leaf_step = max(step, _BLOCK_ENTRY_BUDGET // (2 * tents) // step * step)
+    # The leaves of a block, laid out as _leaf_instances indexes them.
+    n_monos = tents if fs.kind == "cube" else fs.d
+    leaves = np.empty((min(leaf_step, n), tents + n_monos + 1))
+    leaves[:, -1] = 1.0
+    anchors = np.tile(fs.grid, inputs.shape[1])
+    # The temporaries of every fold sub-block live in these buffers.
+    # Allocated per sub-block, arrays of this size come from mmap or from
+    # a heap top that free() trims, depending on the heap's layout, and
+    # then every sub-block faults their pages in again.  They are
+    # allocated once the first leaf block's tent temporaries are freed:
+    # allocated before, 50 builds of 100 rows x 1,904 features took 18.4k
+    # page faults, not 1.8k.
     buffers = None
 
     def buffer(i, shape):
         return buffers[i, :shape[0] * shape[1]].reshape(shape)
 
-    for first, leaves in _leaf_blocks(fs, xb, params,
-                                      max(step, leaf_step // step * step)):
+    for first in range(0, n, leaf_step):
+        rows = slice(first, first + leaf_step)
+        points = np.repeat(inputs[rows], fs.M + 1, axis=1)
+        block = leaves[:len(points)]
+        block[:, :tents] = netblocks._hat_network(
+            points, anchors, fs.M, fs.half_width, fs.R)
+        # leaf_specs shifts projection monomials by 0.0, which leaves
+        # every x unchanged.
+        monos = points - anchors if fs.kind == "cube" else xb[rows]
+        block[:, tents:-1] = netblocks.f_id(netblocks.f_id(monos, params),
+                                            params)
+        if not folds:
+            # A one-leaf tree is the tent of its group g, leaf column g.
+            out[rows] = block[:, :len(fs)]
+            continue
         if buffers is None:
             buffers = np.empty((7, min(step, n) * widest))
-        for start in range(0, len(leaves), step):
-            values = leaves[start:start + step]
-            rows = slice(first + start, first + start + len(values))
+        for start in range(0, len(block), step):
+            values = block[start:start + step]
+            sub = slice(first + start, first + start + len(values))
             for level, (left, right) in enumerate(folds, 1):
                 shape = (values.shape[0], left.size)
                 # mode="clip" (the indices are in range) keeps np.take from
@@ -626,7 +619,7 @@ def eval_features(fs, xb):
                             out=buffer(1, shape))
                 values = netblocks.f_mult(
                     x, y, params,
-                    out=out[rows] if level == len(folds) else buffer(2, shape),
+                    out=out[sub] if level == len(folds) else buffer(2, shape),
                     scratch=[buffer(i, shape) for i in range(3, 7)])
     return out
 

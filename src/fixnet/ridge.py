@@ -175,25 +175,46 @@ def _spd_solver(mat):
     return solve, cond
 
 
+def _values(design):
+    """The (n, J) array of a DesignMatrix or of an array-like design."""
+    return (design.values if isinstance(design, DesignMatrix)
+            else np.asarray(design, dtype=float))
+
+
+def _accepted(coef, res, scale, cond, last=True):
+    """Whether coef, whose residual vector is res, meets the relative
+    residual target |res| / scale <= _RESIDUAL_TARGET.  Raises
+    SolverError if coef is not finite, or if it misses the target on the
+    last attempt."""
+    if not np.all(np.isfinite(coef)):
+        raise SolverError("solver produced non-finite coefficients",
+                          condition_estimate=cond)
+    residual = float(np.linalg.norm(res)) / scale
+    if residual > _RESIDUAL_TARGET and last:
+        raise SolverError(
+            f"solve residual {residual:.3e} exceeds {_RESIDUAL_TARGET:.0e}",
+            condition_estimate=cond)
+    return residual <= _RESIDUAL_TARGET
+
+
+def _scale(rhs):
+    """|rhs|, floored at the smallest normal float."""
+    return max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
+
+
 def _refined_solve(mat, rhs, solve, cond):
-    """Direct solve with at most one refinement step and a residual gate."""
+    """Direct solve with at most one refinement step and a residual gate.
+
+    Returns the accepted iterate x and its residual vector mat @ x - rhs.
+    """
     coef = solve(rhs)
-    scale = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    for attempt in range(2):
-        if not np.all(np.isfinite(coef)):
-            raise SolverError(
-                "solver produced non-finite coefficients",
-                condition_estimate=cond,
-            )
-        residual = float(np.linalg.norm(mat @ coef - rhs)) / scale
-        if residual <= _RESIDUAL_TARGET:
-            return coef
-        if attempt == 0:
-            coef = coef + solve(rhs - mat @ coef)
-    raise SolverError(
-        f"solve residual {residual:.3e} exceeds {_RESIDUAL_TARGET:.0e}",
-        condition_estimate=cond,
-    )
+    scale = _scale(rhs)
+    res = mat @ coef - rhs
+    if not _accepted(coef, res, scale, cond, last=False):
+        coef = coef + solve(rhs - mat @ coef)
+        res = mat @ coef - rhs
+        _accepted(coef, res, scale, cond)
+    return coef, res
 
 
 def ridge_solve(design, y, penalty):
@@ -208,7 +229,7 @@ def ridge_solve(design, y, penalty):
     residual above 1e-10, carrying a condition estimate of the factored
     matrix.
     """
-    b = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    b = _values(design)
     y = np.asarray(y, dtype=float)
     if b.ndim != 2:
         raise ParameterError("design matrix must be 2-D")
@@ -228,20 +249,13 @@ def ridge_solve(design, y, penalty):
     mat.flat[::len(mat) + 1] += penalty
     solve, cond = _spd_solver(mat)
     if width > n:
-        dual = _refined_solve(mat, y, solve, cond)
+        dual, res = _refined_solve(mat, y, solve, cond)
         coef = b.T @ dual
         # Residual of the J-dimensional system, evaluated without forming
         # the J x J Gram matrix: (B^T B + p I) B^T z - B^T y = B^T r_dual.
-        primal_res = b.T @ (mat @ dual - y)
-        rhs_norm = max(float(np.linalg.norm(b.T @ y)), np.finfo(float).tiny)
-        residual = float(np.linalg.norm(primal_res)) / rhs_norm
-        if not np.all(np.isfinite(coef)) or residual > _RESIDUAL_TARGET:
-            raise SolverError(
-                f"solve residual {residual:.3e} exceeds {_RESIDUAL_TARGET:.0e}",
-                condition_estimate=cond,
-            )
+        _accepted(coef, b.T @ res, _scale(b.T @ y), cond)
     else:
-        coef = _refined_solve(mat, b.T @ y, solve, cond)
+        coef, _ = _refined_solve(mat, b.T @ y, solve, cond)
 
     obj = objective_value(b, y, coef, penalty)
     return RidgeSolution(
@@ -254,7 +268,7 @@ def ridge_solve(design, y, penalty):
 
 def objective_value(design, y, coefficients, penalty):
     """Penalized empirical squared loss (1/n)|y - Ba|^2 + (penalty/n)|a|^2."""
-    b = design.values if isinstance(design, DesignMatrix) else np.asarray(design, dtype=float)
+    b = _values(design)
     y = np.asarray(y, dtype=float)
     a = np.asarray(coefficients, dtype=float)
     n = b.shape[0]

@@ -8,7 +8,7 @@ any language with 64-bit integers.
 
 Child streams are derived by hashing a label or index into a fresh seed
 with a second mixing constant, so trial 7 of cell "m2/0.05" always sees
-the same randomness no matter how many workers run or in which order.
+the same randomness, in whatever order the trials run.
 
 Standard normals come from the inverse CDF applied to uniforms, using
 Acklam's rational approximation (relative error < 1.2e-9), again for

@@ -118,6 +118,10 @@ TARGETS = {
 STANDARD_NOISES = (0.0, 0.05, 0.10)
 
 
+def _is_standard_noise(noise):
+    return any(math.isclose(noise, s, abs_tol=1e-12) for s in STANDARD_NOISES)
+
+
 def eval_target(target, x):
     """Evaluate a target on a point (d,) or batch (n, d)."""
     batch, single = as_batch(x, target.d)
@@ -134,9 +138,7 @@ def generate(target, n, noise, stream, allow_any_noise=False):
     """
     if n < 1:
         raise ParameterError("need n >= 1")
-    if not allow_any_noise and not any(
-        math.isclose(noise, s, abs_tol=1e-12) for s in STANDARD_NOISES
-    ):
+    if not (allow_any_noise or _is_standard_noise(noise)):
         raise ParameterError(
             f"noise fraction {noise} is nonstandard; pass allow_any_noise=True"
         )
@@ -292,6 +294,11 @@ class BenchConfig:
         known = set(self.methods) - set(_METHOD_FITTERS)
         if known:
             raise ParameterError(f"unknown methods: {sorted(known)}")
+        for nz in self.noises:
+            if not _is_standard_noise(nz):
+                raise ParameterError(
+                    f"noises: {nz!r} is not a calibrated noise fraction; "
+                    f"use {', '.join(map(str, STANDARD_NOISES))}")
         for key in ("eval_n", "reps", "ref_realizations"):
             if getattr(self, key) < 1:
                 raise ParameterError(

@@ -297,6 +297,24 @@ def test_predict_refuses_non_finite_queries(tmp_path, capsys, cell):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("doc", [
+    {"estimator": "projection", "r": 1, "N": 1, "M": 2, "trials": 2},
+    {"estimator": "smooth", "N": 1, "M": 1},
+], ids=["projection", "smooth"])
+def test_fit_refuses_non_finite_inputs(tmp_path, capsys, doc, cell):
+    # As in predict, the clamp would turn inf into the cube's edge.
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2,y\n0.1,-0.2,1\n0.3,0.4,2\n"
+                     f"{cell},0.5,3\n-0.6,0.7,4\n")
+    model = tmp_path / "model.json"
+    config = _write_config(tmp_path / "fit.json", doc)
+    assert main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)]) == 2
+    assert "non-finite values" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("kind, key, h", [("projection", "A", 3e4),
                                          ("smooth", "a", 1e4)])
 def test_a_half_width_beyond_the_scale_is_refused(tmp_path, kind, key, h):
@@ -872,6 +890,17 @@ def test_bench_counts_below_one_exit_2(tmp_path, capsys, edit, key):
                  "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be at least 1")
+    assert not out.exists()
+
+
+def test_bench_refuses_an_uncalibrated_noise_by_its_key(tmp_path, capsys):
+    config = _write_config(tmp_path / "c.json", {"noises": [0.05, 0.07]})
+    out = tmp_path / "out"
+    assert main(["bench", "--quick", "--config", config,
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noises: 0.07 is not")
+    assert "0.0, 0.05, 0.1" in err and "allow_any_noise" not in err
     assert not out.exists()
 
 

@@ -185,6 +185,20 @@ def test_fit_warns_and_clamps_outside_inputs():
             fit_smooth(shifted, SmoothConfig(N=1, M=2, R=1e6))
 
 
+@pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("fit, config", [
+    (fit_pp, PPConfig(r=1, N=1, M=2, R=1e5, trials=2)),
+    (fit_smooth, SmoothConfig(N=1, M=1, R=1e6)),
+], ids=["projection", "smooth"])
+def test_fits_refuse_non_finite_inputs_before_the_clamp(fit, config, cell):
+    # The clamp would turn an infinite coordinate into the cube's edge.
+    data = _toy_data(4, seed=11)
+    x = data.x.copy()
+    x[2, 0] = cell
+    with _quiet(), pytest.raises(ParameterError, match="non-finite values"):
+        fit(Dataset(x, data.y), config)
+
+
 def test_predict_truncates_to_beta():
     data = _toy_data(40, seed=9)
     cfg = PPConfig(r=1, N=1, M=2, R=1e5, trials=3, seed=1, beta=0.01)

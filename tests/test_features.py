@@ -477,6 +477,51 @@ def test_design_temporaries_do_not_grow_with_the_batch(n):
     assert peak - design.nbytes < 16 * features._BLOCK_ENTRY_BUDGET * 8, peak
 
 
+def _blocks(n, step):
+    return [min(step, n - start) for start in range(0, n, step)]
+
+
+@pytest.mark.parametrize("kind, d, N, M, n, leaf, fold", [
+    # The pp_fit model: 68 tent columns and a widest level of 1,904.
+    ("line", 6, 2, 16, 8811, 238, 17),
+    # The smooth_fit design: 12 tent columns, widest level 1,215.
+    ("cube", 4, 2, 2, 4000, 1352, 26),
+    # One-leaf trees: no fold, blocks of 2^15 // (2 * 68) rows.
+    ("line", 6, 0, 16, 1000, 240, None),
+])
+def test_design_rows_go_in_leaf_blocks_folded_in_sub_blocks(
+        monkeypatch, kind, d, N, M, n, leaf, fold):
+    # A leaf block is the largest multiple of the fold step up to
+    # 2^15 // (2 * tents) rows, the fold step 2^15 // widest rows.
+    x = Stream(23).uniform_matrix(n, d, low=-1.0, high=1.0)
+    if kind == "cube":
+        feats = enumerate_features_cube(d, N, M, 1.0, 1e6)
+    else:
+        directions = Stream(4).uniform_matrix(4, d, low=-1.0, high=1.0)
+        feats = enumerate_features_pp(d, N, M, 1.0, 1e5, directions)
+    hat_rows, fold_rows = [], []
+
+    def hat_network(x, *args):
+        hat_rows.append(x.shape[0])
+        return hat(x, *args)
+
+    def f_mult(x, y, params, **kwargs):
+        if "scratch" in kwargs:  # the fold's calls, not the tents'
+            fold_rows.append(x.shape[0])
+        return mult(x, y, params, **kwargs)
+
+    hat, mult = netblocks._hat_network, netblocks.f_mult
+    monkeypatch.setattr(netblocks, "_hat_network", hat_network)
+    monkeypatch.setattr(netblocks, "f_mult", f_mult)
+    with _silence_low_r():
+        features.eval_features(feats, x)
+    assert hat_rows == _blocks(n, leaf)
+    levels = len(_level_widths(kind, d, N, M, 1 if kind == "cube" else 4))
+    assert fold_rows == [rows for block in _blocks(n, leaf)
+                         for rows in _blocks(block, fold or 1)
+                         for _ in range(levels)]
+
+
 @st.composite
 def _feature_sets(draw):
     kind = draw(st.sampled_from(["cube", "line"]))

@@ -270,9 +270,9 @@ def _reference_ridge_solve(b, y, penalty):
            else b.T @ b + penalty * np.eye(width))
     solve, cond = _reference_spd_solver(mat)
     if width > n:
-        coef = b.T @ ridge._refined_solve(mat, y, solve, cond)
+        coef = b.T @ ridge._refined_solve(mat, y, solve, cond)[0]
     else:
-        coef = ridge._refined_solve(mat, b.T @ y, solve, cond)
+        coef, _ = ridge._refined_solve(mat, b.T @ y, solve, cond)
     return coef, objective_value(b, y, coef, penalty), cond
 
 
@@ -587,6 +587,24 @@ def test_the_residual_gate_raises_solver_error(solve, message):
     with pytest.raises(SolverError, match=message) as exc:
         ridge._refined_solve(np.eye(3), np.ones(3), solve, 42.0)
     assert exc.value.condition_estimate == 42.0
+
+
+@pytest.mark.parametrize("calls", [1, 2], ids=["direct", "refined"])
+def test_refined_solve_returns_the_residual_of_its_iterate(calls):
+    # A solve that returns 1 - 2^-k of the exact solution leaves a
+    # relative residual of about 2^-k, and 2^-2k after the refinement
+    # step: k = 40 meets the 1e-10 target at once, k = 20 after one step.
+    mat, rhs = np.diag([1.0, 2.0, 4.0]), np.array([1.0, -3.0, 0.5])
+    frac = 1.0 - 2.0 ** -(40 if calls == 1 else 20)
+    seen = []
+
+    def solve(v):
+        seen.append(v)
+        return frac * np.linalg.solve(mat, v)
+
+    coef, res = ridge._refined_solve(mat, rhs, solve, 1.0)
+    assert len(seen) == calls
+    assert np.array_equal(res, mat @ coef - rhs)
 
 
 def test_design_matrix_wrapper_properties():

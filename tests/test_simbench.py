@@ -199,6 +199,10 @@ def test_bench_config_validation_and_echo():
         BenchConfig(targets=("m9",))
     with pytest.raises(ParameterError):
         BenchConfig(methods=("constant", "mystery"))
+    with pytest.raises(ParameterError, match="noises: 0.07 is not"):
+        BenchConfig(noises=(0.05, 0.07))
+    # The tolerance generate() accepts.
+    BenchConfig(noises=(0.0, 0.05 + 1e-13, 0.1))
     doc = BenchConfig().to_dict()
     assert "workers" not in doc
     assert doc["trial_overrides"] == [{"target": "m1", "noise": 0.05, "trials": 50}]
