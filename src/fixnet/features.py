@@ -53,7 +53,6 @@ import functools
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,17 +370,6 @@ def _fold_product_tree(leaves, R):
     return leaves[0]
 
 
-_LOW_R_MESSAGE = (
-    "scale R is below the guaranteed-approximation threshold for this feature "
-    "configuration; values stay finite but the stated error bound may not apply"
-)
-
-
-def _warn_if_low_R(f):
-    if f.R < scale_lower_bound(f):
-        warnings.warn(_LOW_R_MESSAGE, RuntimeWarning, stacklevel=3)
-
-
 def leaf_specs(f):
     """Hashable descriptions of the product-tree leaves of f, in tree order.
 
@@ -422,7 +410,6 @@ def eval_feature(x, f):
     """Evaluate the feature network f at x ((d,) or (n, d)) by folding its
     own leaves: the oracle of eval_features."""
     xb, single = as_batch(x, f.d)
-    _warn_if_low_R(f)
     leaves = [eval_leaf(spec, xb, f) for spec in leaf_specs(f)]
     out = _fold_product_tree(leaves, f.R)
     return float(out[0]) if single else out

@@ -69,8 +69,6 @@ def build_design_matrix(features, x):
     xb, _ = as_batch(x, features.d)
     if not np.all(np.isfinite(xb)):
         raise ParameterError("input batch contains non-finite values")
-
-    feat._warn_if_low_R(features)
     return DesignMatrix(values=feat.eval_features(features, xb),
                         feature_order=features)
 

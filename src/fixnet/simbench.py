@@ -118,8 +118,15 @@ TARGETS = {
 STANDARD_NOISES = (0.0, 0.05, 0.10)
 
 
-def _is_standard_noise(noise):
-    return any(math.isclose(noise, s, abs_tol=1e-12) for s in STANDARD_NOISES)
+def _same_noise(a, b):
+    return math.isclose(a, b, abs_tol=1e-12)
+
+
+def _check_noise(key, noise):
+    if not any(_same_noise(noise, s) for s in STANDARD_NOISES):
+        raise ParameterError(
+            f"{key}: {noise!r} is not a calibrated noise fraction; "
+            f"use {', '.join(map(str, STANDARD_NOISES))}")
 
 
 def eval_target(target, x):
@@ -129,19 +136,17 @@ def eval_target(target, x):
     return float(out[0]) if single else out
 
 
-def generate(target, n, noise, stream, allow_any_noise=False):
+def generate(target, n, noise, stream):
     """Draw a training set: X uniform on the cube, Y = m(X) + noise*scale*e.
 
-    noise is the fraction of the target's scale constant; e is standard
-    normal via the documented inverse-CDF sampler.  X is drawn before the
-    noise, so the inputs for a given stream do not depend on noise level.
+    noise is the fraction of the target's scale constant, one of
+    STANDARD_NOISES; e is standard normal via the documented inverse-CDF
+    sampler.  X is drawn before the noise, so the inputs for a given stream
+    do not depend on noise level.
     """
     if n < 1:
         raise ParameterError("need n >= 1")
-    if not (allow_any_noise or _is_standard_noise(noise)):
-        raise ParameterError(
-            f"noise fraction {noise} is nonstandard; pass allow_any_noise=True"
-        )
+    _check_noise("noise", noise)
     x = stream.uniform_matrix(n, target.d, low=-1.0, high=1.0)
     eps = stream.normals(n)
     y = eval_target(target, x) + noise * target.noise_scale * eps
@@ -295,10 +300,12 @@ class BenchConfig:
         if known:
             raise ParameterError(f"unknown methods: {sorted(known)}")
         for nz in self.noises:
-            if not _is_standard_noise(nz):
+            _check_noise("noises", nz)
+        for (t, nz), _ in self.trial_overrides:
+            if t not in TARGETS:
                 raise ParameterError(
-                    f"noises: {nz!r} is not a calibrated noise fraction; "
-                    f"use {', '.join(map(str, STANDARD_NOISES))}")
+                    f"trial_overrides: unknown target {t!r}")
+            _check_noise("trial_overrides", nz)
         for key in ("eval_n", "reps", "ref_realizations"):
             if getattr(self, key) < 1:
                 raise ParameterError(
@@ -336,7 +343,7 @@ class BenchConfig:
 
     def trials_for(self, target_name, noise):
         for (cell_target, cell_noise), reduced in self.trial_overrides:
-            if cell_target == target_name and math.isclose(cell_noise, noise):
+            if cell_target == target_name and _same_noise(cell_noise, noise):
                 return reduced
         return self.trials
 

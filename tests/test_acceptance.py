@@ -6,12 +6,10 @@ lines of passing tests appear in the summary.  Every tolerance is pinned
 here, not computed.
 """
 
-import contextlib
 import csv
 import hashlib
 import io
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -25,17 +23,6 @@ from fixnet.simbench import BenchConfig, RateConfig, rate_experiment, run_benchm
 
 def _verdict(number, label, ok, detail):
     print(f"[{number}/9] {label}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-@contextlib.contextmanager
-def _silence_low_scale_advisory():
-    """Mute the advisory warning about R sitting below the worst-case
-    approximation threshold; the pinned protocols trip it by design."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="scale R is below", category=RuntimeWarning
-        )
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +49,7 @@ def test_1_block_error_bounds_hold_verbatim():
 
 def test_2_network_error_decay_window():
     start = time.perf_counter()
-    with _silence_low_scale_advisory():
-        rows = cli.decay_check_rows(scale=1e5, window=(1.0 / 12.0, 1.0 / 8.0))
+    rows = cli.decay_check_rows(scale=1e5, window=(1.0 / 12.0, 1.0 / 8.0))
     wall = time.perf_counter() - start
     assert len(rows) == 2
     ratios = {r["check"]: r["measured"] for r in rows}
@@ -175,8 +161,7 @@ def test_5_taylor_patch_strict_per_step_factor():
 
 def test_6_convergence_rate_slope():
     start = time.perf_counter()
-    with _silence_low_scale_advisory():
-        result = rate_experiment(RateConfig())
+    result = rate_experiment(RateConfig())
     wall = time.perf_counter() - start
     ok = (not result.degenerate) and result.slope <= -0.5 and wall < 600.0
     errs = ", ".join(f"{e:.5f}" for e in result.mean_errors)
@@ -197,11 +182,10 @@ def quick_bench_runs(tmp_path_factory):
     for name, workers in (("a", 1), ("b", 1), ("c", 3)):
         out_dir = tmp_path_factory.mktemp(f"bench_{name}")
         start = time.perf_counter()
-        with _silence_low_scale_advisory():
-            code = cli.main([
-                "bench", "--quick", "--seed", "0",
-                "--workers", str(workers), "--output", str(out_dir),
-            ])
+        code = cli.main([
+            "bench", "--quick", "--seed", "0",
+            "--workers", str(workers), "--output", str(out_dir),
+        ])
         wall = time.perf_counter() - start
         assert code == 0
         runs.append({

@@ -143,11 +143,8 @@ def test_predict_empty_input(tmp_path, capsys):
     capsys.readouterr()
     est = load_estimator(str(model))
     none = np.empty((0, 2))
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="scale R is below",
-                                category=RuntimeWarning)
-        design = ridge.build_design_matrix(est.features, none)
-        got = predict(est, none)
+    design = ridge.build_design_matrix(est.features, none)
+    got = predict(est, none)
     assert design.values.shape == (0, est.width)
     assert isinstance(got, np.ndarray) and got.shape == (0,)
 
@@ -520,10 +517,8 @@ def test_predict_holds_one_design_block(tmp_path):
     d, J = 6, 1904
     stream = Stream(25)
     x = stream.uniform_matrix(100, d, low=-1.0, high=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        est = fit_pp(Dataset(x, np.sin(x).sum(axis=1)),
-                     PPConfig(r=4, N=2, M=16, trials=1))
+    est = fit_pp(Dataset(x, np.sin(x).sum(axis=1)),
+                 PPConfig(r=4, N=2, M=16, trials=1))
     assert est.width == J
     model = tmp_path / "model.json"
     save_estimator(est, model)
@@ -715,8 +710,8 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
 @pytest.mark.parametrize("edit, expected, message", [
     ({"beta": -1}, 2, "beta must be positive and finite"),
     ({"beta": 0}, 2, "beta must be positive and finite"),
-    # No finite R meets the bound, so the low-R advisory fires.  With
-    # N = 0 no monomial limits A.
+    # No finite R meets the worst-case bound (scale_lower_bound is inf),
+    # yet the fit runs: with N = 0 no monomial limits A.
     ({"A": 1e300, "N": 0}, 0, None),
     # The cube design is not finite.
     ({"estimator": "smooth", "N": 1, "M": 2, "a": 1e300}, 2, "error:"),
@@ -727,25 +722,22 @@ def test_fit_config_values_that_do_not_convert_exit_2(tmp_path, capsys, edit, ke
 ])
 def test_fit_configs_out_of_range(tmp_path, capsys, edit, expected, message):
     # A negative beta once gave a model that predict refused, and a huge
-    # A or a overflowed the low-R advisory's bound with a traceback.
+    # A or a once overflowed the worst-case scale bound with a traceback.
     train = tmp_path / "train.csv"
     _write_training_csv(train)
     config = _write_config(tmp_path / "fit.json", {**FAST_FIT, **edit})
     model = tmp_path / "model.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        code = main(["fit", "--config", config, "--input", str(train),
-                     "--output", str(model)])
-        err = capsys.readouterr().err
-        assert code == expected and "Traceback" not in err
-        if code == 2:
-            assert message in err and not model.exists()
-            return
-        assert any("scale R is below" in str(w.message) for w in caught)
-        query = tmp_path / "query.csv"
-        _write_query_csv(query, [(0.1, -0.2)])
-        assert main(["predict", "--model", str(model), "--input", str(query),
-                     "--output", str(tmp_path / "out.csv")]) == 0
+    code = main(["fit", "--config", config, "--input", str(train),
+                 "--output", str(model)])
+    err = capsys.readouterr().err
+    assert code == expected and "Traceback" not in err
+    if code == 2:
+        assert message in err and not model.exists()
+        return
+    query = tmp_path / "query.csv"
+    _write_query_csv(query, [(0.1, -0.2)])
+    assert main(["predict", "--model", str(model), "--input", str(query),
+                 "--output", str(tmp_path / "out.csv")]) == 0
 
 
 def test_integral_floats_are_accepted_for_integer_keys(tmp_path, capsys):
@@ -900,7 +892,23 @@ def test_bench_refuses_an_uncalibrated_noise_by_its_key(tmp_path, capsys):
                  "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: noises: 0.07 is not")
-    assert "0.0, 0.05, 0.1" in err and "allow_any_noise" not in err
+    assert "0.0, 0.05, 0.1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"target": "m2", "noise": 0.07, "trials": 5},
+     "error: trial_overrides: 0.07 is not a calibrated noise fraction"),
+    ({"target": "m9", "noise": 0.05, "trials": 5},
+     "error: trial_overrides: unknown target 'm9'"),
+])
+def test_bench_refuses_an_override_that_never_applies(tmp_path, capsys,
+                                                      override, message):
+    config = _write_config(tmp_path / "c.json", {"trial_overrides": [override]})
+    out = tmp_path / "out"
+    assert main(["bench", "--quick", "--config", config,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
@@ -1050,12 +1058,9 @@ def test_perfbench_tracer_wraps_existing_names(tmp_path):
     # stops calling through netblocks.f_mult, which is what the
     # benchmark's product metrics count.
     assert metrics["netblocks.f_mult_elems"] == 576
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="scale R is below",
-                                category=RuntimeWarning)
-        design = ridge.build_design_matrix(est.features, x)
-        for j, f in enumerate(est.features):
-            assert np.array_equal(design.values[:, j], eval_feature(x, f)), j
+    design = ridge.build_design_matrix(est.features, x)
+    for j, f in enumerate(est.features):
+        assert np.array_equal(design.values[:, j], eval_feature(x, f)), j
 
     # cmd_bench imports simbench when it runs, and the package resolves
     # simbench, baselines and estimators.ProcessPoolExecutor on first
@@ -1253,10 +1258,8 @@ def _fitted_documents():
 
     x = Stream(5).uniform_matrix(12, 2, low=-1.0, high=1.0)
     data = Dataset(x, x[:, 0] - x[:, 1] ** 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return (to_json_dict(fit_pp(data, PPConfig(r=2, N=1, M=2, trials=2))),
-                to_json_dict(fit_smooth(data, SmoothConfig(N=1, M=2))))
+    return (to_json_dict(fit_pp(data, PPConfig(r=2, N=1, M=2, trials=2))),
+            to_json_dict(fit_smooth(data, SmoothConfig(N=1, M=2))))
 
 
 # The keys that say what the document is are mutated less often, so

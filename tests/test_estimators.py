@@ -1,12 +1,10 @@
 """Tests for the two estimators: configuration, fitting, prediction,
 selection bookkeeping, and serialization."""
 
-import contextlib
 import ctypes
 import dataclasses
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -28,15 +26,6 @@ from fixnet.estimators import (
     to_json_dict,
 )
 from fixnet.rng import Stream
-
-
-@contextlib.contextmanager
-def _quiet():
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="scale R is below", category=RuntimeWarning
-        )
-        yield
 
 
 def _toy_data(n=50, seed=0, noise=0.02):
@@ -119,9 +108,8 @@ def test_sample_directions_shape_and_range():
 
 def test_fit_smooth_learns_a_smooth_target():
     data = _toy_data(80, seed=1)
-    with _quiet():
-        est = fit_smooth(data, SmoothConfig(N=2, M=2, R=1e6))
-        risk = empirical_l2_risk(est, data)
+    est = fit_smooth(data, SmoothConfig(N=2, M=2, R=1e6))
+    risk = empirical_l2_risk(est, data)
     # The fit must explain most of the response variance.
     assert risk < 0.25 * float(np.var(data.y))
     assert est.kind == "smooth"
@@ -131,8 +119,7 @@ def test_fit_smooth_learns_a_smooth_target():
 
 def test_fit_pp_fits_and_records_selection():
     data = _toy_data(60, seed=2)
-    with _quiet():
-        est = fit_pp(data, PP_SMALL)
+    est = fit_pp(data, PP_SMALL)
     assert est.kind == "projection"
     assert len(est.selection_trace) == PP_SMALL.trials
     finite = [v for v in est.selection_trace if math.isfinite(v)]
@@ -146,9 +133,8 @@ def test_fit_pp_risk_selection_scores_without_penalty():
     data = _toy_data(40, seed=4)
     risk_cfg = PPConfig(r=1, N=1, M=2, R=1e5, trials=4, seed=5, selection="risk")
     pen_cfg = PPConfig(r=1, N=1, M=2, R=1e5, trials=4, seed=5)
-    with _quiet():
-        by_risk = fit_pp(data, risk_cfg)
-        by_pen = fit_pp(data, pen_cfg)
+    by_risk = fit_pp(data, risk_cfg)
+    by_pen = fit_pp(data, pen_cfg)
     # Unpenalized scores are never above penalized scores of the same trial.
     for r_score, p_score in zip(by_risk.selection_trace, by_pen.selection_trace):
         assert r_score <= p_score + 1e-15
@@ -156,10 +142,9 @@ def test_fit_pp_risk_selection_scores_without_penalty():
 
 def test_fit_pp_trial_streams_depend_only_on_the_trial_index():
     data = _toy_data(50, seed=6)
-    with _quiet():
-        short = fit_pp(data, dataclasses.replace(PP_SMALL, trials=2))
-        longer = fit_pp(data, dataclasses.replace(PP_SMALL, trials=4))
-        again = fit_pp(data, dataclasses.replace(PP_SMALL, trials=4))
+    short = fit_pp(data, dataclasses.replace(PP_SMALL, trials=2))
+    longer = fit_pp(data, dataclasses.replace(PP_SMALL, trials=4))
+    again = fit_pp(data, dataclasses.replace(PP_SMALL, trials=4))
     assert short.selection_trace == longer.selection_trace[:2]
     assert np.array_equal(again.coefficients, longer.coefficients)
     assert again.directions == longer.directions
@@ -172,17 +157,15 @@ def test_fit_pp_raises_when_every_trial_fails(monkeypatch):
         raise SolverError("forced failure")
 
     monkeypatch.setattr(estimators.ridge, "ridge_solve", always_fail)
-    with _quiet():
-        with pytest.raises(EstimatorError, match="direction trials failed"):
-            fit_pp(data, PP_SMALL)
+    with pytest.raises(EstimatorError, match="direction trials failed"):
+        fit_pp(data, PP_SMALL)
 
 
 def test_fit_warns_and_clamps_outside_inputs():
     data = _toy_data(40, seed=8)
     shifted = Dataset(data.x * 1.5, data.y)
-    with _quiet():
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            fit_smooth(shifted, SmoothConfig(N=1, M=2, R=1e6))
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        fit_smooth(shifted, SmoothConfig(N=1, M=2, R=1e6))
 
 
 @pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan])
@@ -195,27 +178,25 @@ def test_fits_refuse_non_finite_inputs_before_the_clamp(fit, config, cell):
     data = _toy_data(4, seed=11)
     x = data.x.copy()
     x[2, 0] = cell
-    with _quiet(), pytest.raises(ParameterError, match="non-finite values"):
+    with pytest.raises(ParameterError, match="non-finite values"):
         fit(Dataset(x, data.y), config)
 
 
 def test_predict_truncates_to_beta():
     data = _toy_data(40, seed=9)
     cfg = PPConfig(r=1, N=1, M=2, R=1e5, trials=3, seed=1, beta=0.01)
-    with _quiet():
-        est = fit_pp(data, cfg)
-        out = predict(est, data.x)
+    est = fit_pp(data, cfg)
+    out = predict(est, data.x)
     assert np.max(np.abs(out)) <= 0.01
     assert est.beta == 0.01
 
 
 def test_predict_handles_points_and_batches():
     data = _toy_data(40, seed=10)
-    with _quiet():
-        est = fit_pp(data, PP_SMALL)
-        single = predict(est, data.x[0])
-        batch = predict(est, data.x[:5])
-        via_call = est(data.x[:5])
+    est = fit_pp(data, PP_SMALL)
+    single = predict(est, data.x[0])
+    batch = predict(est, data.x[:5])
+    via_call = est(data.x[:5])
     assert isinstance(single, float)
     assert batch.shape == (5,)
     # Different batch shapes may take different vectorized code paths, so
@@ -234,8 +215,7 @@ def test_predict_is_its_blocks_designs_times_the_coefficients(
     # The documented blocks, bit for bit: each block's design times the
     # coefficients, truncated, with entries and budget given in units of J.
     data = _toy_data(40, seed=11)
-    with _quiet():
-        est = fit_pp(data, PP_SMALL)
+    est = fit_pp(data, PP_SMALL)
     J = est.width
     if entries is not None:
         monkeypatch.setattr(estimators, "_PREDICT_ENTRIES", entries * J)
@@ -250,14 +230,12 @@ def test_predict_is_its_blocks_designs_times_the_coefficients(
         return build_design_matrix(features, x)
 
     monkeypatch.setattr(estimators.ridge, "build_design_matrix", build)
-    with _quiet():
-        got = predict(est, queries)
+    got = predict(est, queries)
     starts = range(0, len(queries), rows)
     assert built == [len(queries[i:i + rows]) for i in starts]
-    with _quiet():
-        want = np.concatenate([
-            build_design_matrix(est.features, queries[i:i + rows]).values
-            @ est.coefficients for i in starts])
+    want = np.concatenate([
+        build_design_matrix(est.features, queries[i:i + rows]).values
+        @ est.coefficients for i in starts])
     assert np.array_equal(got, np.clip(want, -est.beta, est.beta))
 
 
@@ -268,15 +246,13 @@ def test_predict_bits_do_not_depend_on_a_64_row_block_size(monkeypatch):
     # two-thread calls where it has two; every block of a multiple of 64
     # rows keeps every row's bits.
     data = _toy_data(40, seed=11)
-    with _quiet():
-        est = fit_pp(data, PPConfig(r=4, N=2, M=16, R=1e5, trials=1, seed=3))
+    est = fit_pp(data, PPConfig(r=4, N=2, M=16, R=1e5, trials=1, seed=3))
     assert est.width == 408
     queries = Stream(12).uniform_matrix(4096, 2, low=-1.0, high=1.0)
     got = {}
     for rows in (64, 192, 1280, 1344, 2048, 4096):
         monkeypatch.setattr(estimators, "_PREDICT_ENTRIES", rows * est.width)
-        with _quiet():
-            got[rows] = predict(est, queries)
+        got[rows] = predict(est, queries)
     for rows, values in got.items():
         assert np.array_equal(values, got[4096]), rows
 
@@ -339,9 +315,8 @@ def test_64_row_blocks_give_one_thread_bits_on_two_threads(blas_threads, n, J):
 
 def test_empirical_l2_risk_matches_manual_mean():
     data = _toy_data(30, seed=13)
-    with _quiet():
-        est = fit_pp(data, PP_SMALL)
-        resid = data.y - predict(est, data.x)
+    est = fit_pp(data, PP_SMALL)
+    resid = data.y - predict(est, data.x)
     assert empirical_l2_risk(est, data) == pytest.approx(
         float(np.mean(resid**2)), rel=1e-12
     )
@@ -364,8 +339,7 @@ def _assert_resaves_identically(est, path, tmp_path):
 
 def test_serialization_round_trip(tmp_path):
     data = _toy_data(40, seed=14)
-    with _quiet():
-        est = fit_pp(data, PP_SMALL)
+    est = fit_pp(data, PP_SMALL)
     path = tmp_path / "model.json"
     save_estimator(est, path)
     loaded = load_estimator(path)
@@ -373,8 +347,7 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.directions == est.directions
     assert loaded.beta == est.beta and loaded.R == est.R
     queries = Stream(15).uniform_matrix(20, 2, low=-1.0, high=1.0)
-    with _quiet():
-        assert np.array_equal(predict(loaded, queries), predict(est, queries))
+    assert np.array_equal(predict(loaded, queries), predict(est, queries))
 
     doc = json.loads(path.read_text())
     assert doc["schema"] == 1
@@ -385,22 +358,19 @@ def test_serialization_round_trip(tmp_path):
 
 def test_smooth_serialization_round_trip(tmp_path):
     data = _toy_data(40, seed=16)
-    with _quiet():
-        est = fit_smooth(data, SmoothConfig(N=1, M=2, R=1e6))
+    est = fit_smooth(data, SmoothConfig(N=1, M=2, R=1e6))
     path = tmp_path / "smooth.json"
     save_estimator(est, path)
     loaded = load_estimator(path)
     assert loaded.kind == "smooth"
     assert np.array_equal(loaded.coefficients, est.coefficients)
-    with _quiet():
-        assert predict(loaded, data.x[0]) == predict(est, data.x[0])
+    assert predict(loaded, data.x[0]) == predict(est, data.x[0])
     _assert_resaves_identically(est, path, tmp_path)
 
 
 def test_deserialization_rejects_malformed_documents(tmp_path):
     data = _toy_data(30, seed=17)
-    with _quiet():
-        est = fit_pp(data, PP_SMALL)
+    est = fit_pp(data, PP_SMALL)
     doc = to_json_dict(est)
     with pytest.raises(ParameterError, match="schema"):
         from_json_dict({**doc, "schema": 2})
@@ -440,8 +410,7 @@ def test_deserialization_rejects_malformed_documents(tmp_path):
 ])
 def test_deserialization_rejects_out_of_range_fields(field, value, match):
     data = _toy_data(30, seed=17)
-    with _quiet():
-        doc = to_json_dict(fit_pp(data, PP_SMALL))
+    doc = to_json_dict(fit_pp(data, PP_SMALL))
     if field == "directions":  # keep the count check satisfied
         value = value + doc["directions"][1:]
     with pytest.raises(ParameterError, match=match):
@@ -451,8 +420,7 @@ def test_deserialization_rejects_out_of_range_fields(field, value, match):
 def test_deserialization_keeps_infinite_trial_scores():
     # A failed trial is saved with score Infinity, which must load back.
     data = _toy_data(30, seed=17)
-    with _quiet():
-        doc = to_json_dict(fit_pp(data, PP_SMALL))
+    doc = to_json_dict(fit_pp(data, PP_SMALL))
     text = json.dumps({**doc, "selection_trace": [0.5, math.inf, 2], "seed": None})
     loaded = from_json_dict(json.loads(text))
     assert loaded.selection_trace == (0.5, math.inf, 2)
@@ -461,8 +429,7 @@ def test_deserialization_keeps_infinite_trial_scores():
 
 def test_deserialization_rejects_non_finite_coefficients():
     data = _toy_data(30, seed=17)
-    with _quiet():
-        doc = to_json_dict(fit_pp(data, PP_SMALL))
+    doc = to_json_dict(fit_pp(data, PP_SMALL))
     for bad in ("nan", "inf", "-inf"):
         coefs = [bad] + doc["coefficients"][1:]
         with pytest.raises(ParameterError, match="coefficients must be finite"):
@@ -473,8 +440,7 @@ def test_deserialization_rejects_non_finite_coefficients():
 
 def test_deserialization_checks_the_count_before_enumerating(monkeypatch):
     data = _toy_data(30, seed=17)
-    with _quiet():
-        doc = to_json_dict(fit_smooth(data, SmoothConfig(N=1, M=2, R=1e6)))
+    doc = to_json_dict(fit_smooth(data, SmoothConfig(N=1, M=2, R=1e6)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated before the count check")

@@ -1,11 +1,9 @@
 """Tests for feature enumeration, network evaluation, the piecewise Taylor
 approximant, and the architecture audit."""
 
-import contextlib
 import itertools
 import math
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,21 +27,13 @@ from fixnet.features import (
     eval_feature,
     multi_indices,
     partition_of_unity_check,
+    scale_lower_bound,
     taylor_patch_P,
 )
 from fixnet.ridge import build_design_matrix
 from fixnet.rng import Stream
 
 DIRECTIONS = np.array([[0.8, 0.6], [-0.35, 0.9]])
-
-
-@contextlib.contextmanager
-def _silence_low_r():
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="scale R is below", category=RuntimeWarning
-        )
-        yield
 
 
 def test_multi_indices_enumeration():
@@ -248,11 +238,10 @@ def _brute_force_network(xb, f):
 
 def test_network_evaluation_matches_brute_force_composition():
     xb = Stream(5).uniform_matrix(40, 2, low=-1.0, high=1.0)
-    with _silence_low_r():
-        for f in enumerate_features_cube(2, 2, 2, 1.0, 1e5):
-            assert np.max(np.abs(eval_feature(xb, f) - _brute_force_network(xb, f))) <= 1e-12
-        for f in enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS):
-            assert np.max(np.abs(eval_feature(xb, f) - _brute_force_network(xb, f))) <= 1e-12
+    for f in enumerate_features_cube(2, 2, 2, 1.0, 1e5):
+        assert np.max(np.abs(eval_feature(xb, f) - _brute_force_network(xb, f))) <= 1e-12
+    for f in enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS):
+        assert np.max(np.abs(eval_feature(xb, f) - _brute_force_network(xb, f))) <= 1e-12
 
 
 def test_network_error_decays_like_one_over_R():
@@ -265,11 +254,10 @@ def test_network_error_decays_like_one_over_R():
                                        - eval_exact_target(grid, f))))
                    for f in feats)
 
-    with _silence_low_r():
-        cube_lo = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e5))
-        cube_hi = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e8))
-        line_lo = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e5, DIRECTIONS))
-        line_hi = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e8, DIRECTIONS))
+    cube_lo = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e5))
+    cube_hi = worst(enumerate_features_cube(2, 2, 2, 1.0, 1e8))
+    line_lo = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e5, DIRECTIONS))
+    line_hi = worst(enumerate_features_pp(2, 2, 4, 1.0, 1e8, DIRECTIONS))
     # Three decades of scale must buy at least a factor 500 (and about
     # 1000 in practice) in the whole-network error.
     assert 500.0 <= cube_lo / cube_hi <= 2000.0
@@ -281,12 +269,11 @@ def test_degenerate_single_anchor_grid():
     feats = enumerate_features_cube(1, 2, 0, 1.0, 1e5)
     assert len(feats) == 3
     xs = np.linspace(-1.0, 1.0, 31)[:, None]
-    with _silence_low_r():
-        for f in feats:
-            exact = eval_exact_target(xs, f)
-            want = (xs[:, 0] + 1.0) ** sum(f.multi_index)
-            assert np.array_equal(exact, want)
-            assert np.max(np.abs(eval_feature(xs, f) - exact)) <= 0.05
+    for f in feats:
+        exact = eval_exact_target(xs, f)
+        want = (xs[:, 0] + 1.0) ** sum(f.multi_index)
+        assert np.array_equal(exact, want)
+        assert np.max(np.abs(eval_feature(xs, f) - exact)) <= 0.05
 
 
 def test_eval_feature_refuses_a_point_of_another_dimension():
@@ -297,8 +284,7 @@ def test_eval_feature_refuses_a_point_of_another_dimension():
 
 def test_single_point_returns_scalar():
     cube = enumerate_features_cube(2, 1, 2, 1.0, 1e5)[0]
-    with _silence_low_r():
-        out = eval_feature(np.array([0.1, -0.2]), cube)
+    out = eval_feature(np.array([0.1, -0.2]), cube)
     assert isinstance(out, float)
 
 
@@ -381,10 +367,22 @@ def test_architecture_summary_widths_and_depth():
     assert max(line_summary.widths) <= line_summary.width_cap
 
 
-def test_low_scale_warning_fires():
-    feats = enumerate_features_cube(2, 2, 2, 1.0, 1e5)
-    with pytest.warns(RuntimeWarning, match="below the guaranteed-approximation"):
-        eval_feature(np.array([[0.0, 0.0]]), feats[0])
+def test_scale_lower_bound_at_the_benchmark_shapes():
+    # The worst-case R of the approximation theory, read on request; no
+    # supported R (at most 1e8) meets it at the benchmark's fit shapes.
+    directions = Stream(3).uniform_matrix(4, 6, low=-1.0, high=1.0)
+    pp = enumerate_features_pp(6, 2, 16, 1.0, 1e5, directions)
+    assert scale_lower_bound(pp) == pytest.approx(6.994e13, rel=1e-4)
+    assert scale_lower_bound(pp[0]) == scale_lower_bound(pp)
+    cube = enumerate_features_cube(4, 2, 2, 1.0, 1e5)
+    assert scale_lower_bound(cube) == pytest.approx(4.067e39, rel=1e-4)
+    # A power in the bound overflows: no finite R meets it.
+    huge = enumerate_features_pp(2, 0, 2, 1e300, 1e5, DIRECTIONS[:1])
+    assert scale_lower_bound(huge) == math.inf
+    # One tent and no monomial: the one kind of shape R = 1e6 meets.
+    small = enumerate_features_pp(2, 0, 2, 1.0, 1e5, DIRECTIONS[:1])
+    assert scale_lower_bound(small) == pytest.approx(4.463e5, rel=1e-4)
+    assert scale_lower_bound(small) < 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +424,10 @@ def test_cube_design_is_bitwise_the_oracle_on_every_column():
     # 1,215 instances.
     feats = enumerate_features_cube(4, 2, 2, 1.0, 1e6)
     x = Stream(21).uniform_matrix(8, 4, low=-1.0, high=1.0)
-    with _silence_low_r():
-        design = features.eval_features(feats, x)
-        assert design.shape == (8, 1215)
-        for j, f in enumerate(feats):
-            assert _bitwise_equal(design[:, j], eval_feature(x, f)), (j, f)
+    design = features.eval_features(feats, x)
+    assert design.shape == (8, 1215)
+    for j, f in enumerate(feats):
+        assert _bitwise_equal(design[:, j], eval_feature(x, f)), (j, f)
 
 
 def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
@@ -445,14 +442,13 @@ def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
     monkeypatch.setattr(features, "_BLOCK_ENTRY_BUDGET", budget)
     widest = max(_level_widths("cube", 4, 2, 2))
     assert widest > budget
-    with _silence_low_r():
-        features.eval_features(feats, x[:1])  # compile and cache the plan
-        tracemalloc.start()
-        try:
-            design = features.eval_features(feats, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    features.eval_features(feats, x[:1])  # compile and cache the plan
+    tracemalloc.start()
+    try:
+        design = features.eval_features(feats, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < design.nbytes + 10 * max(budget, widest) * design.itemsize
 
 
@@ -513,8 +509,7 @@ def test_design_rows_go_in_leaf_blocks_folded_in_sub_blocks(
     hat, mult = netblocks._hat_network, netblocks.f_mult
     monkeypatch.setattr(netblocks, "_hat_network", hat_network)
     monkeypatch.setattr(netblocks, "f_mult", f_mult)
-    with _silence_low_r():
-        features.eval_features(feats, x)
+    features.eval_features(feats, x)
     assert hat_rows == _blocks(n, leaf)
     levels = len(_level_widths(kind, d, N, M, 1 if kind == "cube" else 4))
     assert fold_rows == [rows for block in _blocks(n, leaf)
@@ -552,7 +547,7 @@ def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
     x = Stream(seed).uniform_matrix(n, d, low=-1.2, high=1.2)
     if point:
         x = x[0]
-    with _silence_low_r(), mock.patch.object(features, "_BLOCK_ENTRY_BUDGET", budget):
+    with mock.patch.object(features, "_BLOCK_ENTRY_BUDGET", budget):
         design = build_design_matrix(feats, x)
         assert design.values.shape == (1 if point else n, len(feats))
         for j, f in enumerate(feats):

@@ -1,12 +1,10 @@
 """Tests for design-matrix construction and the ridge output-layer solve."""
 
-import contextlib
 import ctypes
 import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -36,15 +34,6 @@ from fixnet.rng import Stream
 DIRECTIONS = np.array([[0.8, 0.6], [-0.35, 0.9]])
 
 
-@contextlib.contextmanager
-def _quiet():
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message="scale R is below", category=RuntimeWarning
-        )
-        yield
-
-
 def _dense_oracle(b, y, penalty):
     """Textbook solve of the normal equations with a dense inverse."""
     gram = b.T @ b + penalty * np.eye(b.shape[1])
@@ -57,17 +46,16 @@ def _bitwise_equal(a, b):
 
 def test_design_matrix_columns_match_single_feature_eval():
     x = Stream(1).uniform_matrix(30, 2, low=-1.0, high=1.0)
-    with _quiet():
-        feats = enumerate_features_cube(2, 2, 2, 1.0, 1e5)
-        design = build_design_matrix(feats, x)
-        assert design.n == 30 and design.width == len(feats)
-        for j, f in enumerate(feats):
-            assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j
+    feats = enumerate_features_cube(2, 2, 2, 1.0, 1e5)
+    design = build_design_matrix(feats, x)
+    assert design.n == 30 and design.width == len(feats)
+    for j, f in enumerate(feats):
+        assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j
 
-        line_feats = enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS)
-        line_design = build_design_matrix(line_feats, x)
-        for j, f in enumerate(line_feats):
-            assert _bitwise_equal(line_design.values[:, j], eval_feature(x, f)), j
+    line_feats = enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS)
+    line_design = build_design_matrix(line_feats, x)
+    for j, f in enumerate(line_feats):
+        assert _bitwise_equal(line_design.values[:, j], eval_feature(x, f)), j
 
 
 def test_design_matrix_memory_stays_near_its_output():
@@ -75,16 +63,15 @@ def test_design_matrix_memory_stays_near_its_output():
     # little beyond the (n, J) result however many groups there are.
     x = Stream(3).uniform_matrix(100, 6, low=-1.0, high=1.0)
     directions = Stream(4).uniform_matrix(4, 6, low=-1.0, high=1.0)
-    with _quiet():
-        feats = enumerate_features_pp(6, 2, 16, 1.0, 1e5, directions)
-        assert len(feats) == 1904
-        admissibility_constants()  # cached grid maximization, outside the window
-        tracemalloc.start()
-        try:
-            design = build_design_matrix(feats, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    feats = enumerate_features_pp(6, 2, 16, 1.0, 1e5, directions)
+    assert len(feats) == 1904
+    admissibility_constants()  # cached grid maximization, outside the window
+    tracemalloc.start()
+    try:
+        design = build_design_matrix(feats, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 2 * design.values.nbytes + 2**20, peak
 
 
@@ -172,9 +159,8 @@ def test_objective_value_and_optimality():
 
 def test_ridge_solve_accepts_design_matrix_wrapper():
     x = Stream(2).uniform_matrix(25, 2, low=-1.0, high=1.0)
-    with _quiet():
-        feats = enumerate_features_cube(2, 1, 1, 1.0, 1e5)
-        design = build_design_matrix(feats, x)
+    feats = enumerate_features_cube(2, 1, 1, 1.0, 1e5)
+    design = build_design_matrix(feats, x)
     y = Stream(3).uniforms(25)
     sol = ridge_solve(design, y, 1.0)
     assert sol.coefficients.shape == (len(feats),)

@@ -134,10 +134,10 @@ def test_generate_noise_magnitude():
 
 def test_generate_rejects_nonstandard_noise():
     spec = TARGETS["m2"]
-    with pytest.raises(ParameterError, match="nonstandard"):
+    with pytest.raises(ParameterError,
+                       match="^noise: 0.042 is not a calibrated noise fraction; "
+                             "use 0.0, 0.05, 0.1$"):
         generate(spec, 10, 0.042, Stream(0))
-    data = generate(spec, 10, 0.042, Stream(0), allow_any_noise=True)
-    assert data.n == 10
     with pytest.raises(ParameterError):
         generate(spec, 0, 0.05, Stream(0))
 
@@ -192,6 +192,11 @@ def test_bench_config_quick_and_overrides():
     assert full.trials_for("m1", 0.05) == 50
     assert full.trials_for("m1", 0.10) == 400
     assert full.trials_for("m2", 0.05) == 400
+    # Noises match under the abs_tol=1e-12 rule the noise check uses.
+    zero = BenchConfig.quick(noises=(1e-13,),
+                             trial_overrides=((("m2", 0.0), 5),))
+    assert zero.trials_for("m2", 1e-13) == 5
+    assert zero.trials_for("m4", 1e-13) == 50
 
 
 def test_bench_config_validation_and_echo():
@@ -203,6 +208,15 @@ def test_bench_config_validation_and_echo():
         BenchConfig(noises=(0.05, 0.07))
     # The tolerance generate() accepts.
     BenchConfig(noises=(0.0, 0.05 + 1e-13, 0.1))
+    # An override trials_for could never match is refused; one for a
+    # calibrated cell outside the grid (the full default's m1) is not.
+    with pytest.raises(ParameterError,
+                       match="^trial_overrides: 0.07 is not a calibrated"):
+        BenchConfig.quick(trial_overrides=((("m2", 0.07), 5),))
+    with pytest.raises(ParameterError,
+                       match="^trial_overrides: unknown target 'm9'$"):
+        BenchConfig.quick(trial_overrides=((("m9", 0.05), 5),))
+    BenchConfig(targets=("m2",), noises=(0.1,))
     doc = BenchConfig().to_dict()
     assert "workers" not in doc
     assert doc["trial_overrides"] == [{"target": "m1", "noise": 0.05, "trials": 50}]
