@@ -12,13 +12,16 @@ already links (fixnet._lapack), so a fit never imports scipy.
 
 Besides the design, a solve holds one Gram-sized array, the system: the
 penalty is added in place to the diagonal of the Gram matrix, its 1-norm
-is reduced in row blocks, and dpotrf factors it in place, in the
-triangle that the first solve then restores from the other one.
+is reduced in row blocks, and dpotrf factors it in place.  Nothing reads
+the system after that.  The residual of an iterate comes from the
+design, as B^T (B x) + penalty x (or B (B^T x) + penalty x for the n x n
+system), and a refinement step reuses the one factor.  When dpotrf finds
+the system not positive definite, the pivoted LU fallback forms it again
+in the same array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,72 +108,55 @@ def _one_norm(mat):
     return sums.max()
 
 
-def _restore_lower(mat, diag):
-    """Put back the lower triangle of the symmetric mat, diagonal included,
-    from its strict upper triangle and its saved diagonal.
+def _system(b, penalty, out=None):
+    """The system B^T B + penalty I, or B B^T + penalty I when J > n,
+    formed in out if given.
 
-    The rows are copied in blocks of isqrt(features._BLOCK_ENTRY_BUDGET)
-    rows, so the one temporary, the transpose of a diagonal block, holds
-    at most that budget.  On a 2-vCPU Xeon a 1,215^2 system takes about
-    1.4 ms, an 80^2 one 21 us.
+    The penalty goes onto the diagonal in place.  Off it, adding
+    penalty * eye would add 0.0, which leaves every entry but -0.0 as it
+    is; a Gram entry is -0.0 only when every product in its sum is a
+    signed zero.
     """
-    n = len(mat)
-    step = min(math.isqrt(feat._BLOCK_ENTRY_BUDGET), n)
-    below = np.tri(step, k=-1, dtype=bool)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        mat[start:stop, :start] = mat[:start, start:stop].T
-        block = mat[start:stop, start:stop]
-        np.copyto(block, block.T, where=below[:stop - start, :stop - start])
-    mat.flat[::n + 1] = diag
+    mat = np.matmul(*((b, b.T) if b.shape[1] > b.shape[0] else (b.T, b)),
+                    out=out)
+    mat.flat[::len(mat) + 1] += penalty
+    return mat
 
 
 def _spd_solver(mat):
     """Factor an SPD matrix in place; return (solve closure, condition
-    estimate).
+    estimate), or None when dpotrf finds mat not positive definite.
 
     The calls are those of scipy's cho_factor (upper, uncleaned), dpocon
     and cho_solve, made through fixnet._lapack on the LAPACK of numpy's
     own OpenBLAS; where the two libraries share their kernels, as the
-    tests check, the bits are scipy's.  When dpotrf finds the matrix not
-    positive definite, pivoted LU (dgetrf, dgetrs) takes over with a
-    condition number from np.linalg.cond; an exactly zero LU pivot
-    raises SolverError.
-
-    mat, C-contiguous and symmetric, is factored in place: dpotrf
-    overwrites the upper triangle of the F-contiguous mat.T, which is the
-    lower one of mat.  The first call of the solve restores it (see
-    _restore_lower) after its dpotrs, so mat must not be read before;
-    a later call, a refinement step, factors a copy of the restored mat,
-    which gives the same factor.  The LU path restores mat first.
+    tests check, the bits are scipy's.  mat is C-contiguous and
+    symmetric: dpotrf overwrites the upper triangle of the F-contiguous
+    mat.T, which is the lower one of mat, so mat is not read again.
+    ridge_solve takes residuals from the design, and on None forms the
+    system again in mat for _lu_solver.
     """
     lapack = _lapack.routines()
     anorm = _one_norm(mat)
-    diag = mat.diagonal().copy()
     factor, info = lapack.potrf(mat.T, overwrite_a=True)
     if info > 0:
-        _restore_lower(mat, diag)
-        cond = float(np.linalg.cond(mat, 1))
-        lu, piv, info = lapack.getrf(mat)
-        if info > 0:
-            raise SolverError("normal equations could not be factorized",
-                              condition_estimate=cond)
-        return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
+        return None
     rcond, info = lapack.pocon(factor, anorm)
     cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
-    in_place = True
+    return (lambda v: lapack.potrs(factor, v)[0]), cond
 
-    def solve(v):
-        nonlocal factor, in_place
-        if factor is None:  # a refinement step
-            factor = lapack.potrf(mat)[0]
-        x = lapack.potrs(factor, v)[0]
-        if in_place:
-            _restore_lower(mat, diag)
-            factor, in_place = None, False
-        return x
 
-    return solve, cond
+def _lu_solver(mat):
+    """Pivoted LU (dgetrf, dgetrs) of mat; return (solve closure,
+    condition number from np.linalg.cond).  An exactly zero pivot raises
+    SolverError."""
+    lapack = _lapack.routines()
+    cond = float(np.linalg.cond(mat, 1))
+    lu, piv, info = lapack.getrf(mat)
+    if info > 0:
+        raise SolverError("normal equations could not be factorized",
+                          condition_estimate=cond)
+    return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
 
 
 def _values(design):
@@ -200,17 +186,18 @@ def _scale(rhs):
     return max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
 
 
-def _refined_solve(mat, rhs, solve, cond):
+def _refined_solve(apply, rhs, solve, cond):
     """Direct solve with at most one refinement step and a residual gate.
 
-    Returns the accepted iterate x and its residual vector mat @ x - rhs.
+    apply(v) is the system times v.  Returns the accepted iterate x and
+    its residual vector apply(x) - rhs.
     """
     coef = solve(rhs)
     scale = _scale(rhs)
-    res = mat @ coef - rhs
+    res = apply(coef) - rhs
     if not _accepted(coef, res, scale, cond, last=False):
-        coef = coef + solve(rhs - mat @ coef)
-        res = mat @ coef - rhs
+        coef = coef - solve(res)
+        res = apply(coef) - rhs
         _accepted(coef, res, scale, cond)
     return coef, res
 
@@ -239,21 +226,21 @@ def ridge_solve(design, y, penalty):
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(y))):
         raise ParameterError("design matrix and response must be finite")
 
-    # The n x n system when J > n, else the J x J one.  The penalty goes
-    # onto its diagonal in place.  Off it, adding penalty * eye would add
-    # 0.0, which leaves every entry but -0.0 as it is; a Gram entry is
-    # -0.0 only when every product in its sum is a signed zero.
-    mat = b @ b.T if width > n else b.T @ b
-    mat.flat[::len(mat) + 1] += penalty
-    solve, cond = _spd_solver(mat)
+    mat = _system(b, penalty)
+    solver = _spd_solver(mat)
+    if solver is None:
+        solver = _lu_solver(_system(b, penalty, out=mat))
+    solve, cond = solver
     if width > n:
-        dual, res = _refined_solve(mat, y, solve, cond)
+        dual, res = _refined_solve(lambda v: b @ (b.T @ v) + penalty * v,
+                                   y, solve, cond)
         coef = b.T @ dual
         # Residual of the J-dimensional system, evaluated without forming
         # the J x J Gram matrix: (B^T B + p I) B^T z - B^T y = B^T r_dual.
         _accepted(coef, b.T @ res, _scale(b.T @ y), cond)
     else:
-        coef, _ = _refined_solve(mat, b.T @ y, solve, cond)
+        coef, _ = _refined_solve(lambda v: b.T @ (b @ v) + penalty * v,
+                                 b.T @ y, solve, cond)
 
     obj = objective_value(b, y, coef, penalty)
     return RidgeSolution(

@@ -459,7 +459,7 @@ class BenchmarkReport:
     def cell(self, target, noise, method):
         for c in self.cells:
             if (c.target == target and c.method == method
-                    and math.isclose(c.noise, noise)):
+                    and _same_noise(c.noise, noise)):
                 return c
         raise KeyError((target, noise, method))
 

@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
+import dataclasses
 import functools
 import importlib.util
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixnet import ridge
+from fixnet import cli, ridge
 from fixnet.data import Dataset
 from fixnet.estimators import (PPConfig, fit_pp, load_estimator, predict,
                                save_estimator)
@@ -26,7 +29,7 @@ from fixnet.features import count_features_pp, eval_feature
 from fixnet.cli import (block_check_rows, build_parser, decay_check_rows,
                         main, run_approx_check)
 from fixnet.rng import Stream
-from fixnet.simbench import BenchConfig
+from fixnet.simbench import BenchConfig, RateConfig
 
 
 def _write_training_csv(path, n=16, seed=0):
@@ -924,6 +927,35 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _backticked(text):
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_docstring_and_parser_agree_on_flags_and_keys():
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    table = {row[0]: row[1:] for row in map(_backticked, re.findall(
+        r"^\| `[a-z-]+` \|.*\|$", readme, flags=re.M))}
+    docstring = {name: flags.split() for name, flags in re.findall(
+        r"^    ([a-z-]+) +(--.*)$", cli.__doc__, flags=re.M)}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parser = {name: [flag for a in sub._actions for flag in a.option_strings
+                     if flag not in ("-h", "--help")]
+              for name, sub in subparsers.choices.items()}
+    assert table == docstring == parser
+    assert list(parser) == ["fit", "predict", "bench", "rate", "approx-check"]
+
+    prose = " ".join(readme.split())
+    bench_keys = _backticked(re.search(r"Config keys: (.*?)\. ", prose)[1])
+    rate_keys = _backticked(
+        re.search(r"`rate_report\.csv`.*?; keys: (.*?)\. ", prose)[1])
+    assert sorted(bench_keys) == sorted(
+        ["quick"] + [f.name for f in dataclasses.fields(BenchConfig)])
+    assert sorted(rate_keys) == sorted(
+        f.name for f in dataclasses.fields(RateConfig))
+
+
 @pytest.mark.parametrize("command, workers", [("fit", 2), ("bench", 3)])
 def test_fit_and_bench_still_accept_workers(command, workers):
     args = build_parser().parse_args([command, "--workers", str(workers)])
@@ -933,6 +965,25 @@ def test_fit_and_bench_still_accept_workers(command, workers):
 def test_missing_input_is_reported(tmp_path, capsys):
     assert main(["fit", "--input", str(tmp_path / "nope.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["fit"], None, 'fit requires --input (or "input" in the config)'),
+    (["predict", "--input", "q.csv"], None,
+     "predict requires --model and --input"),
+    (["predict", "--model", "m.json"], None,
+     "predict requires --model and --input"),
+    (["bench", "--quick"], {"trial_overrides": 5},
+     "config key 'trial_overrides' has an unusable value 5"),
+], ids=["fit-input", "predict-model", "predict-input", "overrides-not-list"])
+def test_a_command_without_what_it_needs_exits_2(tmp_path, monkeypatch,
+                                                 capsys, argv, doc, message):
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        argv = [*argv, "--config", _write_config(tmp_path / "c.json", doc)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"] * (doc is not None)
 
 
 def test_bench_command_mini_run_is_reproducible(tmp_path, capsys):

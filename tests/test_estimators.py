@@ -60,6 +60,14 @@ def test_smooth_config_from_sample_size():
         assert SmoothConfig.from_sample_size(100, 2, 2.0).R == 1e8
     with pytest.warns(RuntimeWarning, match="degree cap below"):
         SmoothConfig.from_sample_size(10, 2, 2.5, N=1)
+    for n in (1, 0):
+        with pytest.raises(ParameterError,
+                           match="^need at least two observations$"):
+            SmoothConfig.from_sample_size(n, 2, 2.0)
+    for smoothness in (0.0, -1.0, float("nan")):
+        with pytest.raises(ParameterError,
+                           match="^smoothness must be positive$"):
+            SmoothConfig.from_sample_size(10, 2, smoothness)
 
 
 def test_pp_config_from_sample_size():

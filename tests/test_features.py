@@ -3,6 +3,7 @@ approximant, and the architecture audit."""
 
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -192,6 +193,17 @@ def test_enumeration_parameter_validation():
         enumerate_features_pp(2, 2, 2, 1.0, 1e5, np.array([[1.5, 0.0]]))
     with pytest.raises(ParameterError):
         enumerate_features_pp(2, 2, 2, 1.0, 1e5, np.zeros((0, 2)))
+    for directions in (np.ones((2, 3)) / 2, np.ones(2) / 2):
+        with pytest.raises(ParameterError,
+                           match="^directions must be an r x 2 matrix, "
+                                 + re.escape(f"got shape {directions.shape}") + "$"):
+            enumerate_features_pp(2, 2, 2, 1.0, 1e5, directions)
+    for N, M, A in ((-1, 2, 1.0), (2, -1, 1.0), (2, 2, 0.0), (2, 2, -1.0),
+                    (2, 2, float("nan"))):
+        with pytest.raises(ParameterError,
+                           match=rf"^invalid grid parameters N={N}, M={M}, "
+                                 rf"A={A}$"):
+            enumerate_features_pp(2, N, M, A, 1e5, DIRECTIONS)
 
 
 def test_exact_target_spot_values():

@@ -256,9 +256,11 @@ def _reference_ridge_solve(b, y, penalty):
            else b.T @ b + penalty * np.eye(width))
     solve, cond = _reference_spd_solver(mat)
     if width > n:
-        coef = b.T @ ridge._refined_solve(mat, y, solve, cond)[0]
+        coef = b.T @ ridge._refined_solve(lambda v: mat @ v, y, solve,
+                                          cond)[0]
     else:
-        coef, _ = ridge._refined_solve(mat, b.T @ y, solve, cond)
+        coef, _ = ridge._refined_solve(lambda v: mat @ v, b.T @ y, solve,
+                                       cond)
     return coef, objective_value(b, y, coef, penalty), cond
 
 
@@ -296,55 +298,63 @@ def test_in_place_lu_path_is_bitwise_the_copy_based_one(monkeypatch):
     b = gen.standard_normal((6, 3))
     b[:, 2] = b[:, 1]
     _assert_solves_bitwise_equal(b, gen.standard_normal(6), 1e-20)
-    # Both factored the same matrix: the in-place dpotrf's triangle was
-    # restored before dgetrf and np.linalg.cond read it.
+    # Both factored the same matrix: the system the in-place dpotrf
+    # overwrote was formed again before dgetrf and np.linalg.cond read it.
     assert len(calls) == 2 and _bitwise_equal(calls[0], calls[1])
 
 
 @pytest.mark.parametrize("n, width", [(40, 12), (12, 40)],
                          ids=["primal", "dual"])
-def test_forced_refinement_is_bitwise_the_copy_based_one(monkeypatch, n,
-                                                         width):
+def test_forced_refinement_reuses_the_one_factor(monkeypatch, n, width):
     # No residual meets a target of 0, so every solve refines once and
-    # then raises.  The refinement step factors a copy of the restored
-    # system; its solutions must be those of the one factor of the
-    # reference.
+    # then raises.  dpotrf runs once; the refinement step solves with the
+    # same factor for a residual taken from the design, not the system.
     monkeypatch.setattr(ridge, "_RESIDUAL_TARGET", 0.0)
     routines = _lapack.routines()
-    solutions = []
-    potrs = routines.potrs
+    potrf, potrs, accepted = routines.potrf, routines.potrs, ridge._accepted
+    factored, solved, iterates = [], [], []
 
-    def spy(c, v):
-        x, info = potrs(c, v)
-        solutions.append(x)
-        return x, info
+    def potrf_spy(a, overwrite_a=False):
+        factored.append(a.shape)
+        return potrf(a, overwrite_a=overwrite_a)
 
-    monkeypatch.setattr(routines, "potrs", spy)
+    def potrs_spy(c, v):
+        solved.append(v.copy())
+        return potrs(c, v)
+
+    def accepted_spy(coef, res, scale, cond, last=True):
+        iterates.append(coef)
+        return accepted(coef, res, scale, cond, last)
+
+    monkeypatch.setattr(routines, "potrf", potrf_spy)
+    monkeypatch.setattr(routines, "potrs", potrs_spy)
+    monkeypatch.setattr(ridge, "_accepted", accepted_spy)
     gen = np.random.default_rng(n)
     b = gen.uniform(-1.0, 1.0, (n, width))
     y = gen.standard_normal(n)
     with pytest.raises(SolverError) as got:
         ridge_solve(b, y, 0.1)
-    assert len(solutions) == 2
-    with pytest.raises(SolverError) as want:
-        _reference_ridge_solve(b, y, 0.1)
-    assert len(solutions) == 4
-    assert str(got.value) == str(want.value)
-    assert got.value.condition_estimate == want.value.condition_estimate
-    assert all(map(_bitwise_equal, solutions[:2], solutions[2:]))
+    assert factored == [(min(n, width),) * 2] and len(solved) == 2
 
+    # By hand: the out-of-place system's factor, and the design's product.
+    dual = width > n
+    mat = b @ b.T + 0.1 * np.eye(n) if dual else b.T @ b + 0.1 * np.eye(width)
+    rhs = y if dual else b.T @ y
 
-def test_spd_solver_restores_the_system_after_its_first_solve():
-    mat, rhs = _spd(100, 5)
-    work = mat.copy()
-    solve, cond = ridge._spd_solver(work)
-    assert not _bitwise_equal(work, mat)  # the factor, in place
-    first = solve(rhs)
-    assert _bitwise_equal(work, mat)
-    assert _bitwise_equal(solve(rhs), first)  # from a copy of work
-    assert _bitwise_equal(work, mat)
-    ref_solve, ref_cond = _reference_spd_solver(mat)
-    assert cond == ref_cond and _bitwise_equal(first, ref_solve(rhs))
+    def apply(v):
+        return (b @ (b.T @ v) if dual else b.T @ (b @ v)) + 0.1 * v
+
+    factor, info = potrf(mat)
+    assert info == 0
+    x0 = potrs(factor, rhs)[0]
+    x1 = x0 - potrs(factor, apply(x0) - rhs)[0]
+    assert len(iterates) == 2
+    assert _bitwise_equal(iterates[0], x0) and _bitwise_equal(iterates[1], x1)
+    assert _bitwise_equal(solved[1], apply(x0) - rhs)
+    residual = np.linalg.norm(apply(x1) - rhs) / np.linalg.norm(rhs)
+    assert str(got.value) == f"solve residual {residual:.3e} exceeds 0e+00"
+    rcond, _ = routines.pocon(factor, np.linalg.norm(mat, 1))
+    assert got.value.condition_estimate == 1.0 / rcond
 
 
 @pytest.mark.parametrize("n", [100, 1215])
@@ -558,8 +568,9 @@ def test_bound_routines_refuse_shapes_lapack_would_overrun():
 def test_a_zero_lu_pivot_raises_solver_error():
     # All-ones is singular in exact arithmetic too: Cholesky and LU both
     # meet an exact zero pivot.
+    assert ridge._spd_solver(np.ones((2, 2))) is None
     with pytest.raises(SolverError, match="could not be factorized") as exc:
-        ridge._spd_solver(np.ones((2, 2)))
+        ridge._lu_solver(np.ones((2, 2)))
     assert exc.value.condition_estimate == np.inf
 
 
@@ -571,7 +582,8 @@ def test_a_zero_lu_pivot_raises_solver_error():
 ], ids=["non-finite", "residual"])
 def test_the_residual_gate_raises_solver_error(solve, message):
     with pytest.raises(SolverError, match=message) as exc:
-        ridge._refined_solve(np.eye(3), np.ones(3), solve, 42.0)
+        ridge._refined_solve(lambda v: np.eye(3) @ v, np.ones(3), solve,
+                             42.0)
     assert exc.value.condition_estimate == 42.0
 
 
@@ -588,7 +600,7 @@ def test_refined_solve_returns_the_residual_of_its_iterate(calls):
         seen.append(v)
         return frac * np.linalg.solve(mat, v)
 
-    coef, res = ridge._refined_solve(mat, rhs, solve, 1.0)
+    coef, res = ridge._refined_solve(lambda v: mat @ v, rhs, solve, 1.0)
     assert len(seen) == calls
     assert np.array_equal(res, mat @ coef - rhs)
 

@@ -329,6 +329,19 @@ def test_run_benchmark_mini_grid():
     assert "| constant |" in md and "| kernel |" in md
 
 
+def test_report_cell_matches_noises_by_the_noise_rule():
+    # A 1e-13 noise is admitted as the calibrated 0.0, so the cell it
+    # made is found under 0.0 too, as trials_for finds its override.
+    config = BenchConfig(**dict(MINI_BENCH, noises=(1e-13,),
+                                methods=("constant",)))
+    report = run_benchmark(config)
+    cell = report.cell("m2", 0.0, "constant")
+    assert cell is report.cell("m2", 1e-13, "constant")
+    assert cell.noise == 1e-13 and cell.status == "ok"
+    with pytest.raises(KeyError):
+        report.cell("m2", 0.05, "constant")
+
+
 def test_rate_config_validation():
     with pytest.raises(ParameterError):
         RateConfig(sample_sizes=(10, 20, 30))
