@@ -10,12 +10,13 @@ come from scipy.linalg.lapack, the f2py wrappers that cho_factor,
 cho_solve, lu_factor, lu_solve and solve(assume_a="sym") call.
 
 Either binding offers potrf(a, overwrite_a=False), pocon(c, anorm),
-potrs(c, b), getrf(a), getrs(lu, piv, b), sytrf(a) and sytrs(ldu, piv, b)
-for float64 matrices and right-hand-side vectors, called and returning as
-those wrappers do with the upper triangle, no cleaning of the other one
-and no transpose; sytrf takes the workspace size from an lwork = -1
-query.  Inputs are copied, never overwritten, except by potrf with
-overwrite_a true, which factors a writeable F-contiguous float64 a in
+potrs(c, b), getrf(a, overwrite_a=False), gecon(lu, anorm),
+getrs(lu, piv, b), sytrf(a) and sytrs(ldu, piv, b) for float64 matrices
+and right-hand-side vectors, called and returning as those wrappers do
+with the upper triangle, no cleaning of the other one, the 1-norm and no
+transpose; sytrf takes the workspace size from an lwork = -1 query.
+Inputs are copied, never overwritten, except by potrf and getrf with
+overwrite_a true, which factor a writeable F-contiguous float64 a in
 place, as scipy's overwrite_a=1 does (another a is copied).  LU pivots
 are opaque: 1-based here, 0-based from scipy.  Work arrays start on a
 64-byte boundary, because dpocon's estimate of a large matrix moves in
@@ -32,8 +33,8 @@ from numpy.linalg import _umath_linalg
 _NAME = "scipy_{}_64_"
 # Pointer arguments of each routine; a hidden Fortran length follows each
 # of its character arguments (one for each routine but dgetrf).
-_ARITY = {"dpotrf": 5, "dpocon": 9, "dpotrs": 8, "dgetrf": 6, "dgetrs": 9,
-          "dsytrf": 8, "dsytrs": 9}
+_ARITY = {"dpotrf": 5, "dpocon": 9, "dpotrs": 8, "dgetrf": 6, "dgecon": 9,
+          "dgetrs": 9, "dsytrf": 8, "dsytrs": 9}
 
 
 def bind(lib):
@@ -53,6 +54,7 @@ def bind(lib):
             pocon=functools.partial(lapack.dpocon, uplo="U"),
             potrs=functools.partial(lapack.dpotrs, lower=0),
             getrf=lapack.dgetrf,
+            gecon=lambda lu, anorm: lapack.dgecon(lu, anorm, norm="1"),
             getrs=functools.partial(lapack.dgetrs, trans=0),
             sytrf=sytrf,
             sytrs=functools.partial(lapack.dsytrs, lower=0))
@@ -93,21 +95,27 @@ def _ctypes_routines(fns):
                              f"got shape {x.shape}")
         return x
 
+    def factored(a, overwrite_a):  # the array the factorization overwrites
+        return (np.require(a, float, ["F", "W"]) if overwrite_a
+                else np.array(a, dtype=float, order="F"))
+
+    def con(name, norm, c, anorm, work_size):
+        n, ld = sizes(c)
+        rcond = ctypes.c_double()
+        work = _aligned_empty(work_size * c.shape[0])
+        iwork = _aligned_empty(c.shape[0], int_t)
+        info = call(name, norm, n, c.ctypes.data, ld,
+                    ref(ctypes.c_double(anorm)), ref(rcond),
+                    work.ctypes.data, iwork.ctypes.data)
+        return rcond.value, info
+
     def potrf(a, overwrite_a=False):
-        c = (np.require(a, float, ["F", "W"]) if overwrite_a
-             else np.array(a, dtype=float, order="F"))
+        c = factored(a, overwrite_a)
         n, ld = sizes(c)
         return c, call("dpotrf", b"U", n, c.ctypes.data, ld)
 
     def pocon(c, anorm):
-        n, ld = sizes(c)
-        rcond = ctypes.c_double()
-        work = _aligned_empty(3 * c.shape[0])
-        iwork = _aligned_empty(c.shape[0], int_t)
-        info = call("dpocon", b"U", n, c.ctypes.data, ld,
-                    ref(ctypes.c_double(anorm)), ref(rcond),
-                    work.ctypes.data, iwork.ctypes.data)
-        return rcond.value, info
+        return con("dpocon", b"U", c, anorm, 3)
 
     def potrs(c, b):
         x = rhs(b, c)
@@ -115,12 +123,15 @@ def _ctypes_routines(fns):
         return x, call("dpotrs", b"U", n, one, c.ctypes.data, ld,
                        x.ctypes.data, ld)
 
-    def getrf(a):
-        lu = np.array(a, dtype=float, order="F")
+    def getrf(a, overwrite_a=False):
+        lu = factored(a, overwrite_a)
         n, ld = sizes(lu)
         piv = np.empty(lu.shape[0], dtype=int_t)
         info = call("dgetrf", n, n, lu.ctypes.data, ld, piv.ctypes.data)
         return lu, piv, info
+
+    def gecon(lu, anorm):
+        return con("dgecon", b"1", lu, anorm, 4)
 
     def getrs(lu, piv, b):
         x = rhs(b, lu)
@@ -147,7 +158,8 @@ def _ctypes_routines(fns):
                        piv.ctypes.data, x.ctypes.data, ld)
 
     return SimpleNamespace(potrf=potrf, pocon=pocon, potrs=potrs,
-                           getrf=getrf, getrs=getrs, sytrf=sytrf, sytrs=sytrs)
+                           getrf=getrf, gecon=gecon, getrs=getrs,
+                           sytrf=sytrf, sytrs=sytrs)
 
 
 @functools.cache

@@ -426,15 +426,17 @@ fold_product_tree = _fold_product_tree
 # level, which bounds the fold's temporaries, and, halved, on (row, tent)
 # entries of one leaf block, which bounds the tent networks' (see
 # eval_features); ridge reads its system in row blocks of this size.
-# On a 2-vCPU Xeon (2 MiB L2 per core) with numpy 2.4, interleaved builds
-# of a 4,000-row cube design (d=4, N=2, M=2; widest level 1,215) and an
-# 8,811-row projection design (d=6, N=2, M=16, r=4; widest level 1,904)
-# took, in medians of 7 at budgets 2^13, 2^14, 2^15 and 2^16: cube 0.27,
-# 0.24, 0.21, 0.21 s and projection 0.87, 0.73, 0.73, 0.81 s.  Smaller
-# blocks pay the per-call cost of f_mult's 32 ufunc calls more often;
-# larger ones leave L2.  The leaves of that projection design (68 tent
-# columns) took 81-85 ms in 481-row blocks, in medians of 7, and
-# 149-153 ms as one whole-batch table.
+# On a 2-vCPU Xeon (2 MiB L2 per core) with numpy 2.4 and f_mult's
+# compiled kernel, interleaved builds of a 4,000-row cube design (d=4,
+# N=2, M=2; widest level 1,215) and an 8,811-row projection design (d=6,
+# N=2, M=16, r=4; widest level 1,904) took, in medians of 7 at budgets
+# 2^13, 2^14, 2^15 and 2^16, in two rounds: cube 0.14-0.15, 0.11,
+# 0.09-0.10, 0.09 s and projection 0.42, 0.34-0.36, 0.29-0.30,
+# 0.28-0.29 s.  Smaller blocks pay the per-call cost of the gathers and
+# of f_mult's four passes more often; 2^16 gains at most a tenth over
+# 2^15 and doubles the fold's buffers.  The tents of that projection
+# design (68 columns) took 46-53 ms in 481-row blocks, in medians of 7
+# in two rounds, and 86-100 ms as one whole-batch table.
 _BLOCK_ENTRY_BUDGET = 2**15
 
 

@@ -19,6 +19,13 @@ sigmoids by R^2.  Forming that difference naively cancels catastrophically
 once R is large, so the difference is evaluated through an exact
 rearrangement (see _sigma_second_diff) that keeps full relative accuracy.
 The supported range is R <= 1e8; values above are clamped with a warning.
+
+Speed: f_mult is the hot path of every design build.  On contiguous
+arrays it runs in four passes over memory: a compiled loop
+(fixnet._kernel) writes the two expm1 arguments, numpy's np.expm1 runs in
+place on each, and a second compiled loop does the remaining arithmetic.
+Its numpy path, 32 ufunc calls, runs everywhere else (broadcast and 0-d
+calls, or no C compiler) and is the oracle: both give the same bits.
 """
 
 import warnings
@@ -26,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .activation import admissibility_constants, maybe_scalar, sigma
 from .errors import ParameterError
 
@@ -164,6 +172,22 @@ def _second_diff_into(z, m, e, ze, t, dest):
     np.divide(t, e, out=dest)
 
 
+def _kernel_scratch(shape, x, y, result, scratch):
+    """The two scratch arrays of the compiled path of f_mult, or None
+    when it does not apply: no kernel, a 0-d or broadcast call, or an
+    operand that is not a C-contiguous float64 array of the result's
+    shape."""
+    lib = _kernel.library() if shape and x.shape == y.shape == shape else None
+    if lib is None:
+        return None
+    m, e = (scratch[:2] if scratch is not None
+            else (np.empty(shape), np.empty(shape)))
+    if not all(a.shape == shape and a.dtype == np.float64
+               and a.flags.c_contiguous for a in (x, y, result, m, e)):
+        return None
+    return lib, m, e
+
+
 def f_mult(x, y, params, out=None, scratch=None):
     """Product block.
 
@@ -174,13 +198,24 @@ def f_mult(x, y, params, out=None, scratch=None):
     x and y broadcast against each other.  The result goes to out when it
     is given (out must not overlap x or y); otherwise a new array, or a
     float for 0-d inputs, is returned.  The value is bitwise
-    _sigma_second_diff(1, u) - _sigma_second_diff(1, v) times the scale,
-    computed in place in four scratch arrays that the u and v halves
-    share: scratch, four arrays of the result's shape overlapping none of
-    x, y and out, or new ones when it is None.  The halves hand expm1
-    (x+y)/(-R) and (y-x)/R: IEEE division and subtraction are
-    sign-symmetric, so these are exactly -u and -v, up to the sign of a
-    zero v, which m*m squares away.
+    _sigma_second_diff(1, u) - _sigma_second_diff(1, v) times the scale.
+    The halves hand expm1 (x+y)/(-R) and (y-x)/R: IEEE division and
+    subtraction are sign-symmetric, so these are exactly -u and -v, up to
+    the sign of a zero v, which m*m squares away.  scratch is four arrays
+    of the result's shape overlapping none of x, y and out, or None for
+    new ones.
+
+    When x, y, the result and the first two scratch arrays are
+    C-contiguous float64 arrays of one shape, and fixnet._kernel could
+    build its library, the block runs in four passes: a C loop writes
+    the two expm1 arguments into scratch, np.expm1 runs in place on each,
+    and a second C loop does the rest of the arithmetic.  Otherwise it
+    runs as 32 numpy ufunc calls in the four scratch arrays.  Both do the
+    same IEEE operations on the same operands in the same order, so they
+    give the same bits; the numpy path is the oracle the tests hold the
+    compiled one to.  The compiled loops raise no numpy RuntimeWarning
+    where the numpy path's ufuncs raise one for an overflow or an invalid
+    operation; np.expm1 raises them on both paths.
     """
     prof = admissibility_constants()
     R = params.R
@@ -188,9 +223,20 @@ def f_mult(x, y, params, out=None, scratch=None):
     y = np.asarray(y, dtype=float)
     shape = np.broadcast(x, y).shape
     result = np.empty(shape) if out is None else out
+    z = np.exp(-prof.t_sigma)
+    scale = R * R / (4.0 * prof.d2_at_sq)
+    compiled = _kernel_scratch(shape, x, y, result, scratch)
+    if compiled is not None:
+        lib, m, e = compiled
+        lib.fm_halves(x.ctypes.data, y.ctypes.data, m.ctypes.data,
+                      e.ctypes.data, m.size, R)
+        np.expm1(m, out=m)
+        np.expm1(e, out=e)
+        lib.fm_combine(m.ctypes.data, e.ctypes.data, result.ctypes.data,
+                       m.size, z, 1.0 + z, -z, scale)
+        return result
     m, e, ze, t = (scratch if scratch is not None
                    else [np.empty(shape) for _ in range(4)])
-    z = np.exp(-prof.t_sigma)
     np.add(x, y, out=m)
     np.divide(m, -R, out=m)
     _second_diff_into(z, m, e, ze, t, result)
@@ -198,7 +244,7 @@ def f_mult(x, y, params, out=None, scratch=None):
     np.divide(m, R, out=m)
     _second_diff_into(z, m, e, ze, t, m)
     np.subtract(result, m, out=result)
-    np.multiply(R * R / (4.0 * prof.d2_at_sq), result, out=result)
+    np.multiply(scale, result, out=result)
     return maybe_scalar(result) if out is None else result
 
 

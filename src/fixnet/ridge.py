@@ -17,7 +17,8 @@ the system after that.  The residual of an iterate comes from the
 design, as B^T (B x) + penalty x (or B (B^T x) + penalty x for the n x n
 system), and a refinement step reuses the one factor.  When dpotrf finds
 the system not positive definite, the pivoted LU fallback forms it again
-in the same array.
+in the same array and factors it there, with a dgecon estimate of its
+condition.
 """
 
 from __future__ import annotations
@@ -147,15 +148,23 @@ def _spd_solver(mat):
 
 
 def _lu_solver(mat):
-    """Pivoted LU (dgetrf, dgetrs) of mat; return (solve closure,
-    condition number from np.linalg.cond).  An exactly zero pivot raises
-    SolverError."""
+    """Pivoted LU (dgetrf, dgetrs) of mat, in place; return (solve
+    closure, condition estimate from dgecon).  An exactly zero pivot
+    raises SolverError with an infinite estimate.
+
+    mat is C-contiguous and symmetric, so dgetrf factors the F-contiguous
+    mat.T in place, as _spd_solver's dpotrf does, and dgecon takes the
+    1-norm from before the factorization: the LU path holds no array of
+    the system's size besides mat.
+    """
     lapack = _lapack.routines()
-    cond = float(np.linalg.cond(mat, 1))
-    lu, piv, info = lapack.getrf(mat)
+    anorm = _one_norm(mat)
+    lu, piv, info = lapack.getrf(mat.T, overwrite_a=True)
     if info > 0:
         raise SolverError("normal equations could not be factorized",
-                          condition_estimate=cond)
+                          condition_estimate=np.inf)
+    rcond, info = lapack.gecon(lu, anorm)
+    cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
     return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixnet import cli, ridge
+from fixnet import _kernel, cli, ridge
 from fixnet.data import Dataset
 from fixnet.estimators import (PPConfig, fit_pp, load_estimator, predict,
                                save_estimator)
@@ -340,8 +341,8 @@ def test_a_half_width_beyond_the_scale_is_refused(tmp_path, kind, key, h):
     assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= est.beta)
 
 
-def _run_python(code, *args, **env_edit):
-    """python -c code in a fresh process with src/ on its path; env_edit
+def _python_env(**env_edit):
+    """The environment of a fresh python with src/ on its path; env_edit
     sets environment variables, and a None value unsets one."""
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -352,8 +353,14 @@ def _run_python(code, *args, **env_edit):
             env.pop(key, None)
         else:
             env[key] = value
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _run_python(code, *args, **env_edit):
+    """python -c code in a fresh process (see _python_env)."""
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=_python_env(**env_edit), capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.mark.parametrize("imports, given, seen", [
@@ -588,8 +595,10 @@ def test_fit_and_predict_load_only_what_they_run(tmp_path):
     # Only bench and rate run the benchmark and the baselines and draw
     # labelled streams (hashlib, so OpenSSL), and no command starts a
     # process pool.  A bench in the same process then loads the modules
-    # it needs on first use.
+    # it needs on first use.  The compiled kernel is built in an empty
+    # cache, so building it must load none of them either.
     runs = _fit_runs(tmp_path)
+    cache = tmp_path / "cache"
     query = tmp_path / "query.csv"
     _write_query_csv(query, [(0.1, -0.2), (0.5, 0.5)])
     runs.append(["predict", "--model", str(tmp_path / "pp-model.json"),
@@ -597,20 +606,66 @@ def test_fit_and_predict_load_only_what_they_run(tmp_path):
     unloaded = ["fixnet.simbench", "fixnet.baselines", "concurrent.futures",
                 "multiprocessing", "hashlib", "scipy"]
     proc = _run_python(
-        "import json, sys; from fixnet import cli; "
+        "import json, sys; from fixnet import _kernel, cli; "
+        "_kernel.CACHE_DIR = sys.argv[4]; "
         "runs, names = json.loads(sys.argv[1]), json.loads(sys.argv[2]); "
         "codes = [cli.main(argv) for argv in runs]; "
         "loaded = [m for m in names if m in sys.modules]; "
         "codes.append(cli.main(json.loads(sys.argv[3]))); "
         "print(json.dumps([codes, loaded]))",
         json.dumps(runs), json.dumps(unloaded),
-        json.dumps(_tiny_bench_run(tmp_path)))
+        json.dumps(_tiny_bench_run(tmp_path)), str(cache))
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert loaded == []
+    assert len(list(cache.glob("*.so"))) == (shutil.which("cc") is not None)
     assert _prediction_values(tmp_path / "pred.csv").shape == (2,)
     _assert_tiny_bench_report(tmp_path)
+
+
+def test_fits_write_the_same_models_without_the_compiled_kernel(
+        tmp_path, monkeypatch):
+    # f_mult's numpy path gives the kernel's bits, whether the loader
+    # returns None or a fresh process finds no compiler (PATH emptied,
+    # an empty cache).
+    runs = _fit_runs(tmp_path)
+
+    def models():
+        return [Path(argv[-1]).read_bytes() for argv in runs]
+
+    assert [main(argv) for argv in runs] == [0, 0]
+    want = models()
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernel, "library", lambda: None)
+        assert [main(argv) for argv in runs] == [0, 0]
+    assert models() == want
+    cache = tmp_path / "cache"
+    proc = _run_python(
+        "import json, sys; from fixnet import _kernel, cli; "
+        "_kernel.CACHE_DIR = sys.argv[1]; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]; "
+        "sys.exit(3 if _kernel.library() is not None else max(codes))",
+        str(cache), json.dumps(runs), PATH="")
+    assert proc.returncode == 0, proc.stderr or "the kernel was built"
+    assert models() == want
+    assert list(cache.iterdir()) == []
+
+
+def test_concurrent_first_uses_leave_one_library(tmp_path):
+    # Two cold processes compile into one empty cache at once: each
+    # renames a whole library into place, and no temporary is left.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    cache = tmp_path / "cache"
+    code = ("import sys; from fixnet import _kernel; "
+            "_kernel.CACHE_DIR = sys.argv[1]; "
+            "sys.exit(_kernel.library() is None)")
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(cache)],
+                              env=_python_env()) for _ in range(2)]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    files = [path.name for path in cache.iterdir()]
+    assert len(files) == 1 and files[0].endswith(".so"), files
 
 
 def test_lazy_package_names_resolve():

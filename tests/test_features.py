@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixnet import features, netblocks
+from fixnet import _kernel, features, netblocks
 from fixnet.netblocks import BlockParams, exact_hat, f_hat, f_id, f_mult
 from fixnet.errors import FeatureCountError, ParameterError
 from fixnet.features import (
@@ -566,3 +566,20 @@ def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
             want = eval_feature(x, f)
             got = design.values[0, j] if point else design.values[:, j]
             assert _bitwise_equal(got, want), (j, f)
+
+
+def test_design_and_oracle_keep_their_bits_without_the_compiled_kernel(
+        monkeypatch):
+    # Where the kernel cannot be built, every f_mult takes its numpy
+    # path: the designs of the two benchmark plan shapes keep their bits,
+    # and eval_features still equals eval_feature.
+    directions = Stream(31).uniform_matrix(4, 6, low=-1.0, high=1.0)
+    sets = [enumerate_features_cube(4, 2, 2, 1.0, 1e6),
+            enumerate_features_pp(6, 2, 16, 1.0, 1e6, directions)]
+    points = [Stream(32).uniform_matrix(70, fs.d, low=-1.0, high=1.0)
+              for fs in sets]
+    want = [features.eval_features(fs, x) for fs, x in zip(sets, points)]
+    monkeypatch.setattr(_kernel, "library", lambda: None)
+    for fs, x, design in zip(sets, points, want):
+        assert _bitwise_equal(features.eval_features(fs, x), design)
+    test_design_matrix_is_bitwise_the_single_feature_oracle()

@@ -1,11 +1,14 @@
 """Tests for the five fixed-weight scalar blocks and their error bounds."""
 
+import os
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fixnet import netblocks
+from fixnet import _kernel, netblocks
 from fixnet.activation import admissibility_constants, sigma, sigma_derivative
 from fixnet.netblocks import (
     BlockParams,
@@ -133,6 +136,86 @@ def test_product_block_is_bitwise_the_reference_expression(R):
         got = f_mult(a, b, params)
         assert isinstance(got, float)
         assert _same_bits(got, _reference_product(a, b, params.R))
+
+
+# Signed zeros, subnormals, +-1, 17, +-1e8, +-1e300, +-inf and NaN.
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0,
+                   -1.0, 17.0, 1e8, -1e8, 1e300, -1e300, np.inf, -np.inf,
+                   np.nan])
+
+
+def _compiled_kernel():
+    if _kernel.library() is None:
+        pytest.skip("the compiled kernel cannot be built on this host")
+
+
+def test_kernel_builds_where_a_compiler_exists():
+    assert (_kernel.library() is not None) == (shutil.which("cc") is not None)
+
+
+@pytest.mark.parametrize("R", [1.0, 3.7, 1e3, 1e6, 1e8])
+def test_compiled_product_is_bitwise_the_numpy_path(R, monkeypatch):
+    # Every pair of edge values, and random draws over 600 orders of
+    # magnitude; NaN results must sit in the same places.
+    _compiled_kernel()
+    params = BlockParams(R=R)
+    gx, gy = np.meshgrid(_EDGES, _EDGES)
+    rng = np.random.default_rng(int(R))
+    scales = 10.0 ** rng.integers(-300, 300, size=(2, 20000))
+    x = np.concatenate([gx.ravel(), rng.normal(size=20000) * scales[0]])
+    y = np.concatenate([gy.ravel(), rng.normal(size=20000) * scales[1]])
+    out = np.empty_like(x)
+    scratch = [np.empty_like(x) for _ in range(4)]
+    with np.errstate(all="ignore"):
+        got = f_mult(x, y, params, out=out, scratch=scratch)
+        compiled_new = f_mult(x, y, params)
+        monkeypatch.setattr(_kernel, "library", lambda: None)
+        want = f_mult(x, y, params)
+    nan = np.isnan(want)
+    assert nan.any() and not nan.all()
+    for values in (got, compiled_new):
+        assert np.array_equal(np.isnan(values), nan)
+        assert _same_bits(values[~nan], want[~nan])
+
+
+def test_compiled_product_runs_only_on_contiguous_float64_of_one_shape(
+        monkeypatch):
+    # A broadcast pair, a strided out= view, a float32 out= or 0-d inputs
+    # take the numpy path: the kernel's pointers would misread them.
+    _compiled_kernel()
+    calls = []
+    lib = _kernel.library()
+
+    class Spy:
+        def fm_halves(self, *args):
+            calls.append("halves")
+            return lib.fm_halves(*args)
+
+        def fm_combine(self, *args):
+            return lib.fm_combine(*args)
+
+    monkeypatch.setattr(_kernel, "library", Spy)
+    params = BlockParams(R=1e3)
+    x = np.linspace(-2.0, 2.0, 24).reshape(4, 6)
+    y = x[::-1].copy()
+    want = _reference_product(x, y, params.R)
+    assert _same_bits(f_mult(x, y, params), want) and calls == ["halves"]
+    buf = np.empty((4, 12))
+    for args, kwargs in (((x, y[:1]), {}), ((x, y), {"out": buf[:, ::2]}),
+                         ((x, y), {"out": np.empty((4, 6), np.float32)}),
+                         ((x.T, y.T), {}), ((0.5, 0.25), {})):
+        f_mult(*args, params, **kwargs)
+    assert calls == ["halves"]
+
+
+def test_pyproject_ships_the_kernel_source():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        doc = tomllib.load(f)
+    data = doc["tool"]["setuptools"]["package-data"]["fixnet"]
+    assert os.path.basename(_kernel.SOURCE) in data
+    assert os.path.isfile(_kernel.SOURCE)
 
 
 def test_product_block_spot_values():

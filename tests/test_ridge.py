@@ -219,9 +219,9 @@ def test_lu_fallback_is_reachable_and_passes_the_audit(monkeypatch):
     shapes = []
     getrf = routines.getrf
 
-    def spy(mat):
+    def spy(mat, overwrite_a=False):
         shapes.append(mat.shape)
-        return getrf(mat)
+        return getrf(mat, overwrite_a=overwrite_a)
 
     monkeypatch.setattr(routines, "getrf", spy)
     gen = np.random.default_rng(3)
@@ -234,15 +234,17 @@ def test_lu_fallback_is_reachable_and_passes_the_audit(monkeypatch):
 
 
 def _reference_spd_solver(mat):
-    """ridge._spd_solver as it was with a copied factor: dpotrf factors a
-    copy of mat, and the 1-norm is np.linalg.norm's."""
+    """ridge._spd_solver and ridge._lu_solver with copied factors: dpotrf,
+    or dgetrf where it fails, factors a copy of mat, and the 1-norm is
+    np.linalg.norm's."""
     lapack = _lapack.routines()
     factor, info = lapack.potrf(mat)
     if info > 0:
-        cond = float(np.linalg.cond(mat, 1))
         lu, piv, info = lapack.getrf(mat)
         assert info == 0
-        return (lambda v: lapack.getrs(lu, piv, v)[0]), cond
+        rcond, info = lapack.gecon(lu, np.linalg.norm(mat, 1))
+        assert info == 0 and rcond > 0
+        return (lambda v: lapack.getrs(lu, piv, v)[0]), float(1.0 / rcond)
     rcond, info = lapack.pocon(factor, np.linalg.norm(mat, 1))
     cond = np.inf if info != 0 or rcond == 0 else float(1.0 / rcond)
     return (lambda v: lapack.potrs(factor, v)[0]), cond
@@ -289,9 +291,9 @@ def test_in_place_lu_path_is_bitwise_the_copy_based_one(monkeypatch):
     calls = []
     getrf = routines.getrf
 
-    def spy(mat):
+    def spy(mat, overwrite_a=False):
         calls.append(mat.copy())
-        return getrf(mat)
+        return getrf(mat, overwrite_a=overwrite_a)
 
     monkeypatch.setattr(routines, "getrf", spy)
     gen = np.random.default_rng(3)
@@ -299,7 +301,7 @@ def test_in_place_lu_path_is_bitwise_the_copy_based_one(monkeypatch):
     b[:, 2] = b[:, 1]
     _assert_solves_bitwise_equal(b, gen.standard_normal(6), 1e-20)
     # Both factored the same matrix: the system the in-place dpotrf
-    # overwrote was formed again before dgetrf and np.linalg.cond read it.
+    # overwrote was formed again before its 1-norm and dgetrf read it.
     assert len(calls) == 2 and _bitwise_equal(calls[0], calls[1])
 
 
@@ -412,6 +414,38 @@ def test_ridge_solve_holds_one_gram_sized_array(n, width):
     assert peak < 1.5 * min(n, width) ** 2 * 8, peak
 
 
+def test_lu_fallback_holds_one_gram_sized_array(monkeypatch):
+    # With dpotrf made to fail, the LU path factors the system where it
+    # was formed and estimates its condition from the factor: no F-order
+    # copy for dgetrf and no inverse for np.linalg.cond.
+    gen = np.random.default_rng(600)
+    b = gen.uniform(0.01, 1.0, (600, 300))
+    y = gen.standard_normal(600)
+    ridge_solve(b[:8, :4], y[:8], 1.0)  # bind the LAPACK routines
+    routines = _lapack.routines()
+    getrf = routines.getrf
+    factored = []
+
+    def getrf_spy(a, overwrite_a=False):
+        factored.append(a.shape)
+        return getrf(a, overwrite_a=overwrite_a)
+
+    monkeypatch.setattr(routines, "potrf", lambda a, overwrite_a=False: (a, 1))
+    monkeypatch.setattr(routines, "getrf", getrf_spy)
+    tracemalloc.start()
+    try:
+        sol = ridge_solve(b, y, 0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factored == [(300, 300)]
+    assert peak <= 1.5 * 300 ** 2 * 8, peak
+    want = np.linalg.solve(b.T @ b + 0.3 * np.eye(300), b.T @ y)
+    assert np.allclose(sol.coefficients, want, rtol=1e-9, atol=1e-12)
+    cond = np.linalg.cond(b.T @ b + 0.3 * np.eye(300), 1)
+    assert cond / 3 <= sol.gram_condition_estimate <= cond * 1.000001
+
+
 def _spd(n, seed):
     gen = np.random.default_rng(seed)
     b = gen.standard_normal((n + 3, n))
@@ -521,6 +555,8 @@ def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
     assert info == 0 and _bitwise_equal(fb_lu, lu)
     assert _bitwise_equal(fallback.getrs(fb_lu, fb_piv, rhs)[0],
                           scipy.linalg.lu_solve((lu, piv), rhs))
+    anorm = np.linalg.norm(mat, 1)
+    assert fallback.gecon(lu, anorm) == _lapack.routines().gecon(lu, anorm)
     # The symmetric-indefinite pair of the RBF baseline, on a matrix with
     # 2 x 2 pivots; both bindings give LAPACK's 1-based pivots.
     sym = mat - np.trace(mat) / 40 * np.eye(40)
@@ -542,6 +578,12 @@ def test_scipy_fallback_factors_in_place_with_the_same_bits(monkeypatch, n,
     got, info = fallback.potrf(work.T, overwrite_a=True)
     assert info == 0 and np.shares_memory(got, work)
     assert _bitwise_equal(got, fallback.potrf(mat)[0])
+    for routines in (fallback, _lapack.routines()):
+        work = mat.copy()
+        got, piv, info = routines.getrf(work.T, overwrite_a=True)
+        assert info == 0 and np.shares_memory(got, work)
+        want, want_piv, _ = routines.getrf(mat)
+        assert _bitwise_equal(got, want) and np.array_equal(piv, want_piv)
     gen = np.random.default_rng(width)
     b = gen.uniform(-1.0, 1.0, (n, width))
     y = gen.standard_normal(n)
