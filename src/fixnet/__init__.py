@@ -44,10 +44,10 @@ from .rng import Stream, mix64, normal_icdf
 # Only bench and rate run the simulation benchmark and the baselines, so
 # these names load their modules on first use (PEP 562) and a fit or
 # predict process never compiles or imports them.
-_SIMBENCH_NAMES = frozenset((
-    "BenchConfig", "BenchmarkReport", "RateConfig", "RateResult", "TARGETS",
-    "TargetSpec", "eval_target", "generate", "rate_experiment",
-    "reference_error", "run_benchmark", "scaled_errors"))
+_SIMBENCH_NAMES = (
+    "TARGETS", "TargetSpec", "BenchConfig", "BenchmarkReport", "RateConfig",
+    "RateResult", "eval_target", "generate", "reference_error",
+    "scaled_errors", "run_benchmark", "rate_experiment")
 
 
 def __getattr__(name):
@@ -79,9 +79,7 @@ __all__ = [
     "sample_directions", "predict", "empirical_l2_risk", "save_estimator",
     "load_estimator",
     "Stream", "mix64", "normal_icdf",
-    "TARGETS", "TargetSpec", "BenchConfig", "BenchmarkReport", "RateConfig",
-    "RateResult", "eval_target", "generate", "reference_error",
-    "scaled_errors", "run_benchmark", "rate_experiment",
+    *_SIMBENCH_NAMES,
     "baselines",
     "__version__",
 ]

@@ -206,6 +206,12 @@ def _config_values(cls, file_cfg, args):
     return values
 
 
+def _write_text(path, text):
+    """Write one output file of a command, UTF-8 text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _quick(file_cfg, args):
     quick = file_cfg.get("quick", False)
     if not isinstance(quick, bool):
@@ -276,8 +282,7 @@ def cmd_predict(args):
     lines = comment_header("predictions", est.seed, run_cfg)
     lines.append("prediction")
     lines.extend(f"{v:.17g}" for v in predict(est, x))
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(output_path, "\n".join(lines) + "\n")
     print(f"{x.shape[0]} predictions written to {output_path}")
     return 0
 
@@ -295,10 +300,8 @@ def cmd_bench(args):
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "bench_report.csv")
     md_path = os.path.join(out_dir, "bench_report.md")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv_text())
-    with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_markdown_text())
+    _write_text(csv_path, report.to_csv_text())
+    _write_text(md_path, report.to_markdown_text())
 
     failed = [c for c in report.cells if c.status != "ok"]
     for c in report.cells:
@@ -323,8 +326,7 @@ def cmd_rate(args):
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "rate_report.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv_text(config))
+    _write_text(csv_path, result.to_csv_text(config))
     for n, e in zip(result.sample_sizes, result.mean_errors):
         print(f"n={n}: mean error {e:.6g}")
     if result.degenerate:
@@ -354,8 +356,7 @@ def cmd_approx_check(args):
         for r in rows:
             lines.append(f"{r['check']},{r['scale']:.17g},"
                          f"{r['measured']:.17g},{r['bound']:.17g},{r['ok']}")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(out_path, "\n".join(lines) + "\n")
         print(f"table written to {out_path}")
     return 0 if ok else 1
 

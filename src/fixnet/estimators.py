@@ -360,9 +360,9 @@ def predict(estimator, x):
     """
     batch, single = as_batch(x, estimator.d)
     batch = _clamped_inputs(batch, estimator.domain_half, "predict", "queries")
-    width = max(estimator.width, 1)
+    width = estimator.width
     if 64 * width > feat.ENTRY_BUDGET:
-        step = max(1, feat.ENTRY_BUDGET // width)
+        step = feat.ENTRY_BUDGET // width
     else:
         step = max(64, _PREDICT_ENTRIES // width // 64 * 64)
     raw = np.empty(batch.shape[0])

@@ -14,6 +14,10 @@ projected value b'x, with s = ceil(log2(N+1)).
 
 Evaluations are vectorized: x may be a single point (d,) or a batch (n, d).
 
+Both enumerations check their parameters in one place, _checked_grid:
+d >= 1, N >= 0, M >= 0 and a positive half width, then the clamp of R,
+the one size rule and the half-width rule.
+
 The enumerations return a FeatureSet, which holds the features of one
 enumeration as arrays: the enumeration parameters, the anchor grid, the
 direction matrix and the multi-index table, the values a saved model
@@ -319,24 +323,35 @@ class FeatureSet:
                                  direction_index=l, **common)
 
 
+def _checked_grid(kind, d, N, M, name, h, R, r=1):
+    """The clamped R of an enumeration (kind "cube" or "line", r
+    directions) whose parameters pass the one check both enumerations
+    make: d >= 1, N >= 0, M >= 0 and a positive half width h (a or A, as
+    name says), then the one size rule (_checked_count) and, after the
+    clamp of R, (2h)^N <= R for N >= 1 (_check_half_width)."""
+    if d < 1:
+        raise ParameterError(f"invalid grid parameters d={d}: need d >= 1")
+    if N < 0 or M < 0 or not h > 0:
+        raise ParameterError(f"invalid grid parameters N={N}, M={M}, {name}={h}")
+    R = clamp_scale(R)
+    _checked_count(kind, d, N, M, r)
+    _check_half_width(name, h, N, R)
+    return R
+
+
 def enumerate_features_cube(d, N, M, a, R):
     """All (M+1)^d * C(N+d, d) cube features, as a FeatureSet ordered
-    lexicographically by (anchor index tuple, multi-index).  N >= 1 needs
-    (2a)^N <= R, after the clamp of R (_check_half_width)."""
-    if d < 1 or N < 0 or M < 0:
-        raise ParameterError(f"invalid grid parameters d={d}, N={N}, M={M}")
-    if not a > 0:
-        raise ParameterError(f"a must be positive, got {a!r}")
-    R = clamp_scale(R)
-    _checked_count("cube", d, N, M)
-    _check_half_width("a", a, N, R)
+    lexicographically by (anchor index tuple, multi-index).  The
+    parameters pass _checked_grid."""
+    R = _checked_grid("cube", d, N, M, "a", a, R)
     return FeatureSet("cube", d, N, M, float(a), R)
 
 
 def enumerate_features_pp(d, N, M, A, R, directions):
     """All r * (M+1) * C(N+d, d) projection features, as a FeatureSet
-    ordered by (direction index, anchor index, multi-index).  N >= 1 needs
-    (2A)^N <= R, after the clamp of R (_check_half_width)."""
+    ordered by (direction index, anchor index, multi-index).  The r x d
+    directions have components in [-1, 1] and r >= 1, and the other
+    parameters pass _checked_grid."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != d:
         raise ParameterError(
@@ -347,11 +362,7 @@ def enumerate_features_pp(d, N, M, A, R, directions):
         raise ParameterError("at least one direction is required")
     if not np.all(np.abs(directions) <= 1.0 + 1e-12):  # NaN fails too
         raise ParameterError("direction components must lie in [-1, 1]")
-    if N < 0 or M < 0 or not A > 0:
-        raise ParameterError(f"invalid grid parameters N={N}, M={M}, A={A}")
-    R = clamp_scale(R)
-    _checked_count("line", d, N, M, r)
-    _check_half_width("A", A, N, R)
+    R = _checked_grid("line", d, N, M, "A", A, R, r)
     return FeatureSet("line", d, N, M, math.sqrt(d) * A, R, float(A),
                       directions)
 
@@ -672,8 +683,7 @@ def taylor_patch_P(x, derivative_oracle, M, a, q):
     of unity, P reproduces degree-<=q polynomials exactly.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
+    xb, single = as_batch(x, x.shape[-1] if x.ndim else 0)
     d = xb.shape[1]
     if M < 1:
         raise ParameterError("taylor_patch_P needs M >= 1")

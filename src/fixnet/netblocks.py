@@ -176,15 +176,14 @@ def _kernel_scratch(shape, x, y, result, scratch):
     """The two scratch arrays of the compiled path of f_mult, or None
     when it does not apply: no kernel, a 0-d or broadcast call, or an
     operand that is not a C-contiguous float64 array of the result's
-    shape."""
-    lib = _kernel.library() if shape and x.shape == y.shape == shape else None
-    if lib is None:
+    shape.  The operands are checked before the scratch is allocated."""
+    given = () if scratch is None else tuple(scratch[:2])
+    lib = _kernel.library() if shape else None
+    if lib is None or not all(a.shape == shape and a.dtype == np.float64
+                              and a.flags.c_contiguous
+                              for a in (x, y, result, *given)):
         return None
-    m, e = (scratch[:2] if scratch is not None
-            else (np.empty(shape), np.empty(shape)))
-    if not all(a.shape == shape and a.dtype == np.float64
-               and a.flags.c_contiguous for a in (x, y, result, m, e)):
-        return None
+    m, e = given or (np.empty(shape), np.empty(shape))
     return lib, m, e
 
 

@@ -10,6 +10,12 @@ positive definite for any penalty > 0 and are solved by a Cholesky
 factorization.  The LAPACK routines come from the OpenBLAS that numpy
 already links (fixnet._lapack), so a fit never imports scipy.
 
+ridge_solve chooses its operand pair once: (B^T, B) for the J x J
+system, or (B, B^T) for the n x n system when J > n.  Forming the system,
+applying it to an iterate and the one _refined_solve call all take that
+pair; the n x n path then maps its solution through B^T and checks the
+residual of the J x J normal equations.
+
 Besides the design, a solve holds one Gram-sized array, the system: the
 penalty is added in place to the diagonal of the Gram matrix, its 1-norm
 is reduced in row blocks, and dpotrf factors it in place.  Nothing reads
@@ -109,17 +115,15 @@ def _one_norm(mat):
     return sums.max()
 
 
-def _system(b, penalty, out=None):
-    """The system B^T B + penalty I, or B B^T + penalty I when J > n,
-    formed in out if given.
+def _system(left, right, penalty, out=None):
+    """The system left @ right + penalty I, formed in out if given.
 
     The penalty goes onto the diagonal in place.  Off it, adding
     penalty * eye would add 0.0, which leaves every entry but -0.0 as it
     is; a Gram entry is -0.0 only when every product in its sum is a
     signed zero.
     """
-    mat = np.matmul(*((b, b.T) if b.shape[1] > b.shape[0] else (b.T, b)),
-                    out=out)
+    mat = np.matmul(left, right, out=out)
     mat.flat[::len(mat) + 1] += penalty
     return mat
 
@@ -235,21 +239,20 @@ def ridge_solve(design, y, penalty):
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(y))):
         raise ParameterError("design matrix and response must be finite")
 
-    mat = _system(b, penalty)
+    dual = width > n
+    left, right = (b, b.T) if dual else (b.T, b)
+    mat = _system(left, right, penalty)
     solver = _spd_solver(mat)
     if solver is None:
-        solver = _lu_solver(_system(b, penalty, out=mat))
+        solver = _lu_solver(_system(left, right, penalty, out=mat))
     solve, cond = solver
-    if width > n:
-        dual, res = _refined_solve(lambda v: b @ (b.T @ v) + penalty * v,
-                                   y, solve, cond)
-        coef = b.T @ dual
+    coef, res = _refined_solve(lambda v: left @ (right @ v) + penalty * v,
+                               y if dual else b.T @ y, solve, cond)
+    if dual:
+        coef = b.T @ coef
         # Residual of the J-dimensional system, evaluated without forming
         # the J x J Gram matrix: (B^T B + p I) B^T z - B^T y = B^T r_dual.
         _accepted(coef, b.T @ res, _scale(b.T @ y), cond)
-    else:
-        coef, _ = _refined_solve(lambda v: b.T @ (b @ v) + penalty * v,
-                                 b.T @ y, solve, cond)
 
     obj = objective_value(b, y, coef, penalty)
     return RidgeSolution(

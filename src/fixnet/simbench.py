@@ -573,7 +573,8 @@ class RateConfig:
     """Configuration of the convergence-rate experiment.
 
     The target is sin(pi * direction . x) on [-1, 1]^len(direction) with
-    additive Gaussian noise of standard deviation noise_sd.
+    additive Gaussian noise of standard deviation noise_sd; direction has
+    at least one component, and noise_sd is finite and at least 0.
     """
 
     sample_sizes: tuple = (50, 100, 200, 400, 800)
@@ -591,6 +592,12 @@ class RateConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.direction:
+            raise ParameterError(
+                "direction must have at least one component, got []")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ParameterError(f"noise_sd must be finite and at least 0, "
+                                 f"got {self.noise_sd!r}")
         sizes = self.sample_sizes
         if len(sizes) < 4 or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ParameterError(

@@ -6,3 +6,11 @@ command gets: idle BLAS workers sleep between calls (fixnet/__init__.py).
 """
 
 import fixnet  # noqa: F401
+import numpy as np
+
+
+def bitwise_equal(a, b):
+    """Whether a and b, as float arrays, have one shape and the same bits
+    in every entry (NaN payloads and the sign of zero included)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

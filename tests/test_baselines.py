@@ -28,6 +28,8 @@ from fixnet.data import Dataset
 from fixnet.errors import ParameterError, SolverError
 from fixnet.rng import Stream
 
+from conftest import bitwise_equal
+
 
 def _line_data():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -105,10 +107,6 @@ def _scipy_sym_solve(k, y):
         return scipy.linalg.solve(k, y, assume_a="sym")
 
 
-def _bitwise_equal(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize(
     "m, n, d", [(3000, 80, 6), (40_000, 7, 1), (3, 30_000, 5)],
     ids=["blocks-of-273", "blocks-of-18724", "one-row-blocks"])
@@ -117,7 +115,7 @@ def test_sq_dists_blocks_are_bitwise_the_one_shot_einsum(m, n, d):
     queries = gen.uniform(-1.0, 1.0, (m, d))
     points = gen.uniform(-1.0, 1.0, (n, d))
     diff = queries[:, None, :] - points[None, :, :]
-    assert _bitwise_equal(baselines._sq_dists(queries, points),
+    assert bitwise_equal(baselines._sq_dists(queries, points),
                           np.einsum("ijk,ijk->ij", diff, diff))
 
 
@@ -150,10 +148,10 @@ def test_rbf_weights_are_bitwise_scipys_symmetric_solve(n, d, exponent, seed):
     r = np.sqrt(baselines._sq_dists(x, x)) / radius
     k = baselines._wendland(r) + baselines._RBF_JITTER * np.eye(n)
     weights = rbf_interpolant(Dataset(x, y), radius).weights
-    assert _bitwise_equal(weights, _scipy_sym_solve(k, y))
+    assert bitwise_equal(weights, _scipy_sym_solve(k, y))
     g = gen.standard_normal((n, n))
     a = g + g.T
-    assert _bitwise_equal(baselines._symmetric_solve(a, y), _scipy_sym_solve(a, y))
+    assert bitwise_equal(baselines._symmetric_solve(a, y), _scipy_sym_solve(a, y))
 
 
 @pytest.mark.parametrize("k", [np.zeros((1, 1)), np.ones((2, 2)), np.zeros((3, 3))])

@@ -27,8 +27,7 @@ from fixnet.data import Dataset
 from fixnet.estimators import (PPConfig, fit_pp, load_estimator, predict,
                                save_estimator)
 from fixnet.features import count_features_pp, eval_feature
-from fixnet.cli import (block_check_rows, build_parser, decay_check_rows,
-                        main, run_approx_check)
+from fixnet.cli import block_check_rows, build_parser, main, run_approx_check
 from fixnet.rng import Stream
 from fixnet.simbench import BenchConfig, RateConfig
 
@@ -883,6 +882,10 @@ def test_a_run_whose_loops_exceed_the_budget_exits_2(tmp_path, command, doc,
     ("bench", {"methods": ["smooth-neural"], "degree_cap": -1}),
     ("bench", {"trial_overrides": [{"target": "m2", "noise": 0.05,
                                     "trials": 0}]}),
+    # An empty direction died in the tent network with a traceback, and
+    # a negative noise_sd ran to exit 0.
+    ("rate", {"direction": []}),
+    ("rate", {"noise_sd": -1}),
 ])
 def test_bad_estimator_fields_exit_2_before_any_draw(tmp_path, capsys,
                                                      monkeypatch, command,
@@ -925,6 +928,20 @@ def test_a_failed_cell_is_reported_and_exits_1(tmp_path, capsys,
     assert "| rbf | failed |" in md
     assert next(line for line in md if line.startswith("| proj-neural |")
                 ).endswith(") |")
+
+
+def test_a_bench_whose_smooth_grid_is_empty_fails_the_cell(tmp_path,
+                                                          capsys):
+    # No smooth_m_grid value has at most smooth_feature_cap features at
+    # m2's d = 4, so every repetition of the smooth-neural cell raises.
+    assert main(_tiny_bench_run(tmp_path, methods=["smooth-neural"],
+                                smooth_feature_cap=1, reps=2)) == 1
+    assert "1 cell(s) failed" in capsys.readouterr().err
+    rows = [line.split(",") for line in
+            (tmp_path / "bench" / "bench_report.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    # target,noise,method,status,median,iqr,reps,failures,reference
+    assert rows[1][2:8] == ["smooth-neural", "failed", "", "", "0", "2"]
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -1100,14 +1117,6 @@ def test_block_check_rows_cover_all_blocks_and_scales():
     ]
     assert all(r["ok"] for r in rows)
     assert all(r["measured"] <= r["bound"] for r in rows)
-
-
-def test_decay_check_rows_sit_in_window():
-    rows = decay_check_rows()
-    assert len(rows) == 2
-    for r in rows:
-        assert r["lower"] <= r["measured"] <= r["bound"]
-        assert r["ok"]
 
 
 def test_run_approx_check_full_includes_decay():

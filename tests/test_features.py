@@ -34,6 +34,8 @@ from fixnet.features import (
 from fixnet.ridge import build_design_matrix
 from fixnet.rng import Stream
 
+from conftest import bitwise_equal
+
 DIRECTIONS = np.array([[0.8, 0.6], [-0.35, 0.9]])
 
 
@@ -193,6 +195,8 @@ def test_enumeration_parameter_validation():
         enumerate_features_pp(2, 2, 2, 1.0, 1e5, np.array([[1.5, 0.0]]))
     with pytest.raises(ParameterError):
         enumerate_features_pp(2, 2, 2, 1.0, 1e5, np.zeros((0, 2)))
+    with pytest.raises(ParameterError, match="^invalid grid parameters d=0"):
+        enumerate_features_pp(0, 2, 2, 1.0, 1e5, np.zeros((1, 0)))
     for directions in (np.ones((2, 3)) / 2, np.ones(2) / 2):
         with pytest.raises(ParameterError,
                            match="^directions must be an r x 2 matrix, "
@@ -401,11 +405,6 @@ def test_scale_lower_bound_at_the_benchmark_shapes():
 # the compiled plan of build_design_matrix against the single-feature oracle
 # ---------------------------------------------------------------------------
 
-def _bitwise_equal(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def _level_widths(kind, d, N, M, r=1):
     return [left.size for left, _ in features._plan(kind, d, N, M, r)]
 
@@ -439,7 +438,7 @@ def test_cube_design_is_bitwise_the_oracle_on_every_column():
     design = features.eval_features(feats, x)
     assert design.shape == (8, 1215)
     for j, f in enumerate(feats):
-        assert _bitwise_equal(design[:, j], eval_feature(x, f)), (j, f)
+        assert bitwise_equal(design[:, j], eval_feature(x, f)), (j, f)
 
 
 def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
@@ -565,7 +564,7 @@ def test_design_matrix_is_bitwise_the_single_feature_oracle(feats, n, point,
         for j, f in enumerate(feats):
             want = eval_feature(x, f)
             got = design.values[0, j] if point else design.values[:, j]
-            assert _bitwise_equal(got, want), (j, f)
+            assert bitwise_equal(got, want), (j, f)
 
 
 def test_design_and_oracle_keep_their_bits_without_the_compiled_kernel(
@@ -581,5 +580,5 @@ def test_design_and_oracle_keep_their_bits_without_the_compiled_kernel(
     want = [features.eval_features(fs, x) for fs, x in zip(sets, points)]
     monkeypatch.setattr(_kernel, "library", lambda: None)
     for fs, x, design in zip(sets, points, want):
-        assert _bitwise_equal(features.eval_features(fs, x), design)
+        assert bitwise_equal(features.eval_features(fs, x), design)
     test_design_matrix_is_bitwise_the_single_feature_oracle()

@@ -28,6 +28,8 @@ from fixnet.netblocks import (
 )
 from fixnet.errors import ParameterError
 
+from conftest import bitwise_equal
+
 GRID = np.arange(-1.0, 1.0 + 1e-9, 2e-3)
 
 
@@ -94,11 +96,6 @@ def _reference_product(x, y, R):
                                    - netblocks._sigma_second_diff(1.0, (x - y) / R))
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize("R", [3.0, 1e3, 1e6, 1e9])
 def test_product_block_is_bitwise_the_reference_expression(R):
     # eval_feature folds through f_mult as well, so only this reference
@@ -117,25 +114,25 @@ def test_product_block_is_bitwise_the_reference_expression(R):
     # Broadcast shapes (r, 1, k) x (r, g, 1).
     got = f_mult(x, y, params)
     assert got.shape == (6, 4, 5)
-    assert _same_bits(got, _reference_product(x, y, params.R))
+    assert bitwise_equal(got, _reference_product(x, y, params.R))
     # x == y and x == -y cancel to zeros whose signs must survive.
     values = np.concatenate([np.array([0.0, -0.0, 1e-300, -0.5, 0.7, 2.0]),
                              rng.normal(size=20)])
     for other in (values, -values):
-        assert _same_bits(f_mult(values, other, params),
+        assert bitwise_equal(f_mult(values, other, params),
                           _reference_product(values, other, params.R))
     # A strided out= slice is filled in place and returned; nothing else
     # of the buffer is touched.
     buf = np.full((6, 4, 11), np.nan)
     view = buf[:, :, 1:10:2]
     assert f_mult(x, y, params, out=view) is view
-    assert _same_bits(view, _reference_product(x, y, params.R))
+    assert bitwise_equal(view, _reference_product(x, y, params.R))
     assert np.isnan(buf[:, :, 0::2]).all()
     # 0-d scalars give a float.
     for a, b in ((0.3, -0.7), (0.0, -0.0), (0.25, 0.25), (1.5, -1.5)):
         got = f_mult(a, b, params)
         assert isinstance(got, float)
-        assert _same_bits(got, _reference_product(a, b, params.R))
+        assert bitwise_equal(got, _reference_product(a, b, params.R))
 
 
 # Signed zeros, subnormals, +-1, 17, +-1e8, +-1e300, +-inf and NaN.
@@ -175,7 +172,7 @@ def test_compiled_product_is_bitwise_the_numpy_path(R, monkeypatch):
     assert nan.any() and not nan.all()
     for values in (got, compiled_new):
         assert np.array_equal(np.isnan(values), nan)
-        assert _same_bits(values[~nan], want[~nan])
+        assert bitwise_equal(values[~nan], want[~nan])
 
 
 def test_compiled_product_runs_only_on_contiguous_float64_of_one_shape(
@@ -199,7 +196,7 @@ def test_compiled_product_runs_only_on_contiguous_float64_of_one_shape(
     x = np.linspace(-2.0, 2.0, 24).reshape(4, 6)
     y = x[::-1].copy()
     want = _reference_product(x, y, params.R)
-    assert _same_bits(f_mult(x, y, params), want) and calls == ["halves"]
+    assert bitwise_equal(f_mult(x, y, params), want) and calls == ["halves"]
     buf = np.empty((4, 12))
     for args, kwargs in (((x, y[:1]), {}), ((x, y), {"out": buf[:, ::2]}),
                          ((x, y), {"out": np.empty((4, 6), np.float32)}),

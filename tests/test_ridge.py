@@ -31,6 +31,8 @@ from fixnet.ridge import (
 )
 from fixnet.rng import Stream
 
+from conftest import bitwise_equal
+
 DIRECTIONS = np.array([[0.8, 0.6], [-0.35, 0.9]])
 
 
@@ -40,22 +42,18 @@ def _dense_oracle(b, y, penalty):
     return np.linalg.inv(gram) @ (b.T @ y)
 
 
-def _bitwise_equal(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def test_design_matrix_columns_match_single_feature_eval():
     x = Stream(1).uniform_matrix(30, 2, low=-1.0, high=1.0)
     feats = enumerate_features_cube(2, 2, 2, 1.0, 1e5)
     design = build_design_matrix(feats, x)
     assert design.n == 30 and design.width == len(feats)
     for j, f in enumerate(feats):
-        assert _bitwise_equal(design.values[:, j], eval_feature(x, f)), j
+        assert bitwise_equal(design.values[:, j], eval_feature(x, f)), j
 
     line_feats = enumerate_features_pp(2, 2, 3, 1.0, 1e5, DIRECTIONS)
     line_design = build_design_matrix(line_feats, x)
     for j, f in enumerate(line_feats):
-        assert _bitwise_equal(line_design.values[:, j], eval_feature(x, f)), j
+        assert bitwise_equal(line_design.values[:, j], eval_feature(x, f)), j
 
 
 def test_design_matrix_memory_stays_near_its_output():
@@ -269,8 +267,8 @@ def _reference_ridge_solve(b, y, penalty):
 def _assert_solves_bitwise_equal(b, y, penalty):
     sol = ridge_solve(b, y, penalty)
     coef, obj, cond = _reference_ridge_solve(b, y, penalty)
-    assert _bitwise_equal(sol.coefficients, coef)
-    assert _bitwise_equal(np.array([sol.objective, sol.gram_condition_estimate]),
+    assert bitwise_equal(sol.coefficients, coef)
+    assert bitwise_equal(np.array([sol.objective, sol.gram_condition_estimate]),
                           np.array([obj, cond]))
 
 
@@ -302,7 +300,7 @@ def test_in_place_lu_path_is_bitwise_the_copy_based_one(monkeypatch):
     _assert_solves_bitwise_equal(b, gen.standard_normal(6), 1e-20)
     # Both factored the same matrix: the system the in-place dpotrf
     # overwrote was formed again before its 1-norm and dgetrf read it.
-    assert len(calls) == 2 and _bitwise_equal(calls[0], calls[1])
+    assert len(calls) == 2 and bitwise_equal(calls[0], calls[1])
 
 
 @pytest.mark.parametrize("n, width", [(40, 12), (12, 40)],
@@ -351,8 +349,8 @@ def test_forced_refinement_reuses_the_one_factor(monkeypatch, n, width):
     x0 = potrs(factor, rhs)[0]
     x1 = x0 - potrs(factor, apply(x0) - rhs)[0]
     assert len(iterates) == 2
-    assert _bitwise_equal(iterates[0], x0) and _bitwise_equal(iterates[1], x1)
-    assert _bitwise_equal(solved[1], apply(x0) - rhs)
+    assert bitwise_equal(iterates[0], x0) and bitwise_equal(iterates[1], x1)
+    assert bitwise_equal(solved[1], apply(x0) - rhs)
     residual = np.linalg.norm(apply(x1) - rhs) / np.linalg.norm(rhs)
     assert str(got.value) == f"solve residual {residual:.3e} exceeds 0e+00"
     rcond, _ = routines.pocon(factor, np.linalg.norm(mat, 1))
@@ -375,8 +373,8 @@ def test_in_place_factor_is_bitwise_the_copy_at_any_alignment(n):
         work[...] = mat
         got, info = _lapack.routines().potrf(work.T, overwrite_a=True)
         assert info == 0 and np.shares_memory(got, work)
-        assert _bitwise_equal(got, want), offset
-        assert _bitwise_equal(work[upper], mat[upper])
+        assert bitwise_equal(got, want), offset
+        assert bitwise_equal(work[upper], mat[upper])
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -393,7 +391,7 @@ def test_blocked_one_norm_is_bitwise_numpys(rows, cols, square, seed, data):
     mat = np.random.default_rng(seed).standard_normal((rows, cols))
     with mock.patch.object(feat, "_BLOCK_ENTRY_BUDGET", step * cols):
         got = ridge._one_norm(mat)
-    assert _bitwise_equal(np.array([got]), np.array([np.linalg.norm(mat, 1)]))
+    assert bitwise_equal(np.array([got]), np.array([np.linalg.norm(mat, 1)]))
 
 
 @pytest.mark.parametrize("n, width", [(600, 300), (300, 600)],
@@ -460,10 +458,10 @@ def _assert_cholesky_is_scipys(mat, rhs, cond_rtol=0.0):
     assert info == 0 and rcond > 0
     want = scipy.linalg.cho_solve((factor, lower), rhs, check_finite=False)
     got_factor, info = _lapack.routines().potrf(mat)
-    assert info == 0 and _bitwise_equal(got_factor, factor)
+    assert info == 0 and bitwise_equal(got_factor, factor)
     solve, cond = ridge._spd_solver(mat)
     assert abs(cond - 1.0 / rcond) <= cond_rtol * cond
-    assert _bitwise_equal(solve(rhs), want)
+    assert bitwise_equal(solve(rhs), want)
 
 
 @settings(max_examples=64, derandomize=True, deadline=None)
@@ -549,11 +547,11 @@ def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
     solve, cond = ridge._spd_solver(mat.copy())
     monkeypatch.setattr(_lapack, "routines", lambda: fallback)
     fb_solve, fb_cond = ridge._spd_solver(mat.copy())
-    assert fb_cond == cond and _bitwise_equal(fb_solve(rhs), solve(rhs))
+    assert fb_cond == cond and bitwise_equal(fb_solve(rhs), solve(rhs))
     lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
     fb_lu, fb_piv, info = fallback.getrf(mat)
-    assert info == 0 and _bitwise_equal(fb_lu, lu)
-    assert _bitwise_equal(fallback.getrs(fb_lu, fb_piv, rhs)[0],
+    assert info == 0 and bitwise_equal(fb_lu, lu)
+    assert bitwise_equal(fallback.getrs(fb_lu, fb_piv, rhs)[0],
                           scipy.linalg.lu_solve((lu, piv), rhs))
     anorm = np.linalg.norm(mat, 1)
     assert fallback.gecon(lu, anorm) == _lapack.routines().gecon(lu, anorm)
@@ -563,9 +561,9 @@ def test_scipy_fallback_binding_gives_the_same_bits(monkeypatch):
     ldu, piv, info = _lapack.routines().sytrf(sym)
     fb_ldu, fb_piv, fb_info = fallback.sytrf(sym)
     assert info == fb_info == 0 and np.any(piv < 0)
-    assert _bitwise_equal(fb_ldu, ldu) and np.array_equal(fb_piv, piv)
+    assert bitwise_equal(fb_ldu, ldu) and np.array_equal(fb_piv, piv)
     want = _lapack.routines().sytrs(ldu, piv, rhs)[0]
-    assert _bitwise_equal(fallback.sytrs(fb_ldu, fb_piv, rhs)[0], want)
+    assert bitwise_equal(fallback.sytrs(fb_ldu, fb_piv, rhs)[0], want)
 
 
 @pytest.mark.parametrize("n, width", [(40, 12), (12, 40)],
@@ -577,20 +575,20 @@ def test_scipy_fallback_factors_in_place_with_the_same_bits(monkeypatch, n,
     work = mat.copy()
     got, info = fallback.potrf(work.T, overwrite_a=True)
     assert info == 0 and np.shares_memory(got, work)
-    assert _bitwise_equal(got, fallback.potrf(mat)[0])
+    assert bitwise_equal(got, fallback.potrf(mat)[0])
     for routines in (fallback, _lapack.routines()):
         work = mat.copy()
         got, piv, info = routines.getrf(work.T, overwrite_a=True)
         assert info == 0 and np.shares_memory(got, work)
         want, want_piv, _ = routines.getrf(mat)
-        assert _bitwise_equal(got, want) and np.array_equal(piv, want_piv)
+        assert bitwise_equal(got, want) and np.array_equal(piv, want_piv)
     gen = np.random.default_rng(width)
     b = gen.uniform(-1.0, 1.0, (n, width))
     y = gen.standard_normal(n)
     want = ridge_solve(b, y, 0.1)
     monkeypatch.setattr(_lapack, "routines", lambda: fallback)
     _assert_solves_bitwise_equal(b, y, 0.1)
-    assert _bitwise_equal(ridge_solve(b, y, 0.1).coefficients,
+    assert bitwise_equal(ridge_solve(b, y, 0.1).coefficients,
                           want.coefficients)
 
 

@@ -354,6 +354,11 @@ def test_rate_config_validation():
         with pytest.raises(ParameterError,
                            match=f"^eval_n must be at least 1, got {eval_n}$"):
             RateConfig(eval_n=eval_n)
+    with pytest.raises(ParameterError, match="^direction must have at least "):
+        RateConfig(direction=())
+    for noise_sd in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="^noise_sd must be finite "):
+            RateConfig(noise_sd=noise_sd)
     assert "workers" not in RateConfig().to_dict()
 
 
