@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way it warns."""
+
+import sys
+import warnings
 
 
 class FixnetError(Exception):
@@ -25,3 +28,16 @@ class SolverError(FixnetError):
 class EstimatorError(FixnetError):
     """Fitting could not produce a usable estimator (e.g. every random
     direction trial failed)."""
+
+
+def warn(message):
+    """Issue message as a RuntimeWarning at the first frame outside the
+    fixnet package, so it names the caller's line however deep in the
+    package it arose.  Frames are told apart by module, not by file: a
+    dataclass's generated __init__ is in the file "<string>" but runs
+    with its class's module globals."""
+    frame, level = sys._getframe(1), 2
+    while (frame is not None
+           and frame.f_globals.get("__name__", "").partition(".")[0] == "fixnet"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)

@@ -13,15 +13,14 @@ from __future__ import annotations
 import json
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import features as feat, netblocks, ridge, rng
+from . import features as feat, ridge, rng
 from .data import as_batch, as_dataset
-from .errors import EstimatorError, ParameterError, SolverError
+from .errors import EstimatorError, ParameterError, SolverError, warn
 
 _SELECTION_MODES = ("penalized", "risk")
 _MODEL_KINDS = {"cube": "smooth", "line": "projection"}
@@ -69,30 +68,22 @@ def _theory_degree_cap(n, smoothness, N):
     if N is None:
         return q
     if N < q:
-        warnings.warn(
-            "degree cap below the integer part of the smoothness; "
-            "the approximation guarantee needs N >= floor(p)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warn("degree cap below the integer part of the smoothness; "
+             "the approximation guarantee needs N >= floor(p)")
     return N
 
 
-def _check_config(config, half_name, half):
-    """The checks SmoothConfig and PPConfig share, then the R clamp."""
-    if config.N < 0:
-        raise ParameterError("degree cap N must be >= 0")
-    if config.M < 0:
-        raise ParameterError("grid count M must be >= 0")
-    if not half > 0:
-        raise ParameterError(f"{half_name} must be positive")
+def _check_config(config, half_name):
+    """The checks SmoothConfig and PPConfig share: the penalty is
+    positive, beta, if given, positive and finite, and N, M, the half
+    width (the field half_name) and R pass the grid rules of the
+    enumerations, features._checked_grid, which also clamps R."""
     if not config.penalty > 0:
         raise ParameterError("penalty must be positive")
-    if not config.R > 0:
-        raise ParameterError("scale R must be positive")
     if config.beta is not None:
         _check_positive_finite("beta", config.beta)
-    object.__setattr__(config, "R", netblocks.clamp_scale(config.R))
+    object.__setattr__(config, "R", feat._checked_grid(
+        config.N, config.M, half_name, getattr(config, half_name), config.R))
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ class SmoothConfig:
     beta: Optional[float] = None
 
     def __post_init__(self):
-        _check_config(self, "cube half width a", self.a)
+        _check_config(self, "a")
 
     @classmethod
     def from_sample_size(cls, n, d, smoothness, N=None, penalty=1.0,
@@ -123,7 +114,7 @@ class SmoothConfig:
         """
         N = _theory_degree_cap(n, smoothness, N)
         M = int(math.ceil(grid_scale * n ** (1.0 / (2.0 * smoothness + d))))
-        R = netblocks.clamp_scale(float(n) ** (d + 4))
+        R = float(n) ** (d + 4)
         a = math.log(n) ** (1.0 / (6.0 * (N + d)))
         return cls(N=N, M=M, R=R, a=a, penalty=penalty,
                    beta=_default_beta(truncation_scale, n))
@@ -156,7 +147,7 @@ class PPConfig:
             raise ParameterError("need at least one trial")
         if self.selection not in _SELECTION_MODES:
             raise ParameterError(f"selection must be one of {_SELECTION_MODES}")
-        _check_config(self, "domain half width A", self.A)
+        _check_config(self, "A")
 
     @classmethod
     def from_sample_size(cls, n, d, r, smoothness, N=None, penalty=1.0,
@@ -168,7 +159,7 @@ class PPConfig:
             trial_scale * math.log(n) ** 2 * n ** (r * d / (2.0 * smoothness + 1.0))
         ))
         M = int(math.ceil(grid_scale * n ** (1.0 / (2.0 * smoothness + 1.0))))
-        R = netblocks.clamp_scale(float(n) ** 3)
+        R = float(n) ** 3
         A = math.log(n) ** (1.0 / (6.0 * (N + d)))
         return cls(r=r, N=N, M=M, R=R, A=A, penalty=penalty,
                    beta=_default_beta(truncation_scale, n),
@@ -231,12 +222,8 @@ def _clamped_inputs(x, half, label, inputs="training inputs"):
     if not np.all(np.isfinite(x)):
         raise ParameterError(f"{label}: {inputs} contain non-finite values")
     if np.any(np.abs(x) > half):
-        warnings.warn(
-            f"{label}: {inputs} outside [-{half:g}, {half:g}]^d were "
-            "clamped for feature evaluation",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warn(f"{label}: {inputs} outside [-{half:g}, {half:g}]^d were "
+             "clamped for feature evaluation")
         x = np.clip(x, -half, half)
     return x
 

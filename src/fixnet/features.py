@@ -14,9 +14,11 @@ projected value b'x, with s = ceil(log2(N+1)).
 
 Evaluations are vectorized: x may be a single point (d,) or a batch (n, d).
 
-Both enumerations check their parameters in one place, _checked_grid:
-d >= 1, N >= 0, M >= 0 and a positive half width, then the clamp of R,
-the one size rule and the half-width rule.
+The grid rules on N, M, the half width h and R are stated once, in
+_checked_grid, which both enumerations and both estimator configs call:
+N >= 0, M >= 0 and a finite, positive h; R by netblocks.clamp_scale;
+then (2h)^N <= R for N >= 1.  The enumerations check d >= 1 before it and
+the one size rule, _checked_count, after it.
 
 The enumerations return a FeatureSet, which holds the features of one
 enumeration as arrays: the enumeration parameters, the anchor grid, the
@@ -64,7 +66,6 @@ import numpy as np
 from . import netblocks
 from .activation import admissibility_constants
 from .data import as_batch
-from .netblocks import clamp_scale
 from .errors import FeatureCountError, ParameterError
 
 __all__ = [
@@ -159,7 +160,8 @@ def multi_indices(d, N):
 def _checked_count(kind, d, N, M, r=1, rows=1, trials=1):
     """The feature count J of an enumeration (kind "cube" or "line", r
     directions) under the one size rule: FeatureCountError when the
-    C(N+d, d) * 2**s tree leaves or rows * J exceed ENTRY_BUDGET,
+    C(N+d, d) * max(d, 2**s) tree leaves or multi-index table entries, or
+    rows * J, exceed ENTRY_BUDGET,
     ParameterError when trials * (rows * J + 2^14) exceeds 2^30.  A float
     estimate of log J screens absurd parameters first, so they cost no
     big-integer arithmetic."""
@@ -176,10 +178,14 @@ def _checked_count(kind, d, N, M, r=1, rows=1, trials=1):
         )
     J = (count_features_cube(d, N, M) if kind == "cube"
          else count_features_pp(d, N, M, r))
-    leaves = math.comb(N + d, d) << _tree_depth(kind, d, N)
+    # The C(N+d, d) trees have 2**s leaves each, and the multi-index table
+    # holds d entries per tree; for a cube tree 2**s >= d.
+    leaves = math.comb(N + d, d) * max(d, 1 << _tree_depth(kind, d, N))
     if leaves > ENTRY_BUDGET:
-        raise FeatureCountError(f"product-tree leaf count={leaves} exceeds "
-                                f"the supported maximum {ENTRY_BUDGET}")
+        raise FeatureCountError(
+            f"product-tree leaf count or multi-index table of d={d}, N={N} "
+            f"comes to {leaves} entries, above the supported maximum "
+            f"{ENTRY_BUDGET}")
     if rows * J > ENTRY_BUDGET:
         size = (f"feature count J={J}" if rows == 1
                 else f"design of n={rows} rows x J={J} features")
@@ -220,21 +226,6 @@ def _checked_loops(work, keys):
             f"the run's loops come to about 2^{math.log2(work):.1f} entries, "
             f"above the supported maximum 2^{LOOP_BUDGET.bit_length() - 1}; "
             f"lower {keys}")
-
-
-def _check_half_width(name, h, N, R):
-    """Refuse a cube [-h, h]^d with (2h)^N > R (or R not positive) for
-    N >= 1.
-
-    Monomial partial products reach about (2h)^N, and a product block's
-    expm1 overflows once |x +- y| / R passes about 709.  Where (2h)^N > R
-    the block inputs pass R, so bound_mult already exceeds the values it
-    approximates.  The test is made in logs, so no power overflows."""
-    if N >= 1 and not (R > 0 and N * math.log(2.0 * h) <= math.log(R)):
-        raise ParameterError(
-            f"half width {name}={h:g} is too large for degree cap N={N} and "
-            f"scale R={R:g}: (2*{name})^N must not exceed R"
-        )
 
 
 def count_features_cube(d, N, M):
@@ -323,35 +314,46 @@ class FeatureSet:
                                  direction_index=l, **common)
 
 
-def _checked_grid(kind, d, N, M, name, h, R, r=1):
-    """The clamped R of an enumeration (kind "cube" or "line", r
-    directions) whose parameters pass the one check both enumerations
-    make: d >= 1, N >= 0, M >= 0 and a positive half width h (a or A, as
-    name says), then the one size rule (_checked_count) and, after the
-    clamp of R, (2h)^N <= R for N >= 1 (_check_half_width)."""
-    if d < 1:
-        raise ParameterError(f"invalid grid parameters d={d}: need d >= 1")
-    if N < 0 or M < 0 or not h > 0:
+def _checked_grid(N, M, name, h, R):
+    """The clamped R of a grid whose parameters pass the grid rules, the
+    one statement of them, which both enumerations and both estimator
+    configs make: N >= 0, M >= 0 and a finite, positive half width h (a
+    or A, as name says); R by netblocks.clamp_scale (positive, clamped at
+    R_SUPPORTED_MAX with a warning); then (2h)^N <= R for N >= 1.
+
+    Monomial partial products reach about (2h)^N, and a product block's
+    expm1 overflows once |x +- y| / R passes about 709.  Where (2h)^N > R
+    the block inputs pass R, so bound_mult already exceeds the values it
+    approximates.  The test is made in logs, so no power overflows."""
+    if N < 0 or M < 0 or not (h > 0 and math.isfinite(h)):
         raise ParameterError(f"invalid grid parameters N={N}, M={M}, {name}={h}")
-    R = clamp_scale(R)
-    _checked_count(kind, d, N, M, r)
-    _check_half_width(name, h, N, R)
+    R = netblocks.clamp_scale(R)
+    if N >= 1 and N * math.log(2.0 * h) > math.log(R):
+        raise ParameterError(
+            f"half width {name}={h:g} is too large for degree cap N={N} and "
+            f"scale R={R:g}: (2*{name})^N must not exceed R"
+        )
     return R
 
 
 def enumerate_features_cube(d, N, M, a, R):
     """All (M+1)^d * C(N+d, d) cube features, as a FeatureSet ordered
-    lexicographically by (anchor index tuple, multi-index).  The
-    parameters pass _checked_grid."""
-    R = _checked_grid("cube", d, N, M, "a", a, R)
+    lexicographically by (anchor index tuple, multi-index).  d >= 1, the
+    other parameters pass _checked_grid, and the set passes the size rule
+    (_checked_count)."""
+    if d < 1:
+        raise ParameterError(f"invalid grid parameters d={d}: need d >= 1")
+    R = _checked_grid(N, M, "a", a, R)
+    _checked_count("cube", d, N, M)
     return FeatureSet("cube", d, N, M, float(a), R)
 
 
 def enumerate_features_pp(d, N, M, A, R, directions):
     """All r * (M+1) * C(N+d, d) projection features, as a FeatureSet
     ordered by (direction index, anchor index, multi-index).  The r x d
-    directions have components in [-1, 1] and r >= 1, and the other
-    parameters pass _checked_grid."""
+    directions have components in [-1, 1] and r >= 1, d >= 1, the other
+    parameters pass _checked_grid, and the set passes the size rule
+    (_checked_count)."""
     directions = np.asarray(directions, dtype=float)
     if directions.ndim != 2 or directions.shape[1] != d:
         raise ParameterError(
@@ -362,7 +364,10 @@ def enumerate_features_pp(d, N, M, A, R, directions):
         raise ParameterError("at least one direction is required")
     if not np.all(np.abs(directions) <= 1.0 + 1e-12):  # NaN fails too
         raise ParameterError("direction components must lie in [-1, 1]")
-    R = _checked_grid("line", d, N, M, "A", A, R, r)
+    if d < 1:
+        raise ParameterError(f"invalid grid parameters d={d}: need d >= 1")
+    R = _checked_grid(N, M, "A", A, R)
+    _checked_count("line", d, N, M, r)
     return FeatureSet("line", d, N, M, math.sqrt(d) * A, R, float(A),
                       directions)
 

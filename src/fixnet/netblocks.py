@@ -28,14 +28,13 @@ Its numpy path, 32 ufunc calls, runs everywhere else (broadcast and 0-d
 calls, or no C compiler) and is the oracle: both give the same bits.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernel
 from .activation import admissibility_constants, maybe_scalar, sigma
-from .errors import ParameterError
+from .errors import ParameterError, warn
 
 __all__ = [
     "R_SUPPORTED_MAX",
@@ -58,14 +57,14 @@ R_SUPPORTED_MAX = 1e8
 
 
 def clamp_scale(R):
-    """Clamp R to the numerically supported range, warning when it bites."""
+    """The one rule for the scale R: it must be positive (NaN is refused),
+    and it is clamped to the numerically supported range, with a warning
+    when the clamp bites."""
+    if not R > 0:
+        raise ParameterError(f"scale R must be positive, got {R!r}")
     if R > R_SUPPORTED_MAX:
-        warnings.warn(
-            f"scale R={R:g} exceeds the supported range; clamped to "
-            f"{R_SUPPORTED_MAX:g} (double precision limit of the product block)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warn(f"scale R={R:g} exceeds the supported range; clamped to "
+             f"{R_SUPPORTED_MAX:g} (double precision limit of the product block)")
         return R_SUPPORTED_MAX
     return float(R)
 
@@ -80,13 +79,11 @@ class BlockParams:
     M: int | None = None
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ParameterError(f"R must be positive, got {self.R!r}")
+        object.__setattr__(self, "R", clamp_scale(self.R))
         if not self.a > 0:
             raise ParameterError(f"a must be positive, got {self.a!r}")
         if self.M is not None and self.M < 1:
             raise ParameterError(f"M must be a positive integer, got {self.M!r}")
-        object.__setattr__(self, "R", clamp_scale(self.R))
 
 
 # ---------------------------------------------------------------------------

@@ -886,6 +886,10 @@ def test_a_run_whose_loops_exceed_the_budget_exits_2(tmp_path, command, doc,
     # a negative noise_sd ran to exit 0.
     ("rate", {"direction": []}),
     ("rate", {"noise_sd": -1}),
+    # (2h)^N > R: a bench ran every repetition, then failed both neural
+    # cells and exited 1.
+    ("bench", {"domain_half": 1e300, "targets": ["m2"]}),
+    ("rate", {"domain_half": 1e300}),
 ])
 def test_bad_estimator_fields_exit_2_before_any_draw(tmp_path, capsys,
                                                      monkeypatch, command,

@@ -25,6 +25,8 @@ from fixnet.estimators import (
     save_estimator,
     to_json_dict,
 )
+from fixnet.features import enumerate_features_cube
+from fixnet.netblocks import BlockParams
 from fixnet.rng import Stream
 
 
@@ -47,6 +49,13 @@ def test_smooth_config_validation():
         SmoothConfig(N=1, M=2, R=1e5, penalty=0.0)
     with pytest.warns(RuntimeWarning, match="clamped"):
         assert SmoothConfig(N=1, M=2, R=1e10).R == 1e8
+    # The grid rules of the enumerations, applied when the config is built.
+    for edit, message in (({"a": math.inf}, "^invalid grid parameters "
+                                            "N=1, M=2, a=inf$"),
+                          ({"R": math.nan}, "^scale R must be positive"),
+                          ({"a": 1e5}, "^half width a=100000 is too large")):
+        with pytest.raises(ParameterError, match=message):
+            SmoothConfig(**{"N": 1, "M": 2, "R": 1e5, **edit})
 
 
 def test_smooth_config_from_sample_size():
@@ -90,12 +99,25 @@ def test_configs_default_to_the_documented_fit_defaults():
 
 
 def test_degree_cap_warning_points_at_the_caller():
-    for make in (lambda: SmoothConfig.from_sample_size(10, 2, 2.5, N=1),
-                 lambda: PPConfig.from_sample_size(10, 2, 1, 2.5, N=1)):
-        with pytest.warns(RuntimeWarning, match="degree cap below") as record:
+    # Every fixnet warning names the line outside the package that called
+    # into it, a dataclass's generated __init__ included.
+    data = _toy_data(20)
+    est = fit_smooth(data, SmoothConfig(N=1, M=2, R=1e5))
+    outside = Dataset(1.5 * data.x, data.y)
+    for make, match in (
+            (lambda: SmoothConfig.from_sample_size(10, 2, 2.5, N=1),
+             "degree cap below"),
+            (lambda: PPConfig.from_sample_size(10, 2, 1, 2.5, N=1),
+             "degree cap below"),
+            (lambda: PPConfig(R=1e9), "clamped to"),
+            (lambda: BlockParams(R=1e9), "clamped to"),
+            (lambda: enumerate_features_cube(2, 1, 2, 1.0, 1e9), "clamped to"),
+            (lambda: fit_smooth(outside, SmoothConfig(N=1, M=2, R=1e5)),
+             "training inputs outside"),
+            (lambda: est(outside.x), "queries outside")):
+        with pytest.warns(RuntimeWarning, match=match) as record:
             make()
-        caps = [w for w in record if "degree cap" in str(w.message)]
-        assert [w.filename for w in caps] == [__file__]
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_pp_config_validation():
@@ -105,6 +127,12 @@ def test_pp_config_validation():
         PPConfig(r=1, N=1, M=2, R=1e5, trials=0)
     with pytest.raises(ParameterError):
         PPConfig(r=1, N=1, M=2, R=1e5, selection="best")
+    for edit, message in (({"A": math.inf}, "^invalid grid parameters "
+                                            "N=1, M=2, A=inf$"),
+                          ({"R": math.nan}, "^scale R must be positive"),
+                          ({"A": 1e5}, "^half width A=100000 is too large")):
+        with pytest.raises(ParameterError, match=message):
+            PPConfig(**{"r": 1, "N": 1, "M": 2, "R": 1e5, **edit})
 
 
 def test_sample_directions_shape_and_range():

@@ -143,8 +143,9 @@ def test_multi_indices_stay_cheap_in_high_dimension():
     # d = 2^24 + 1 makes 2^25 leaves.
     with pytest.raises(FeatureCountError, match="product-tree leaf count"):
         enumerate_features_cube(2**24 + 1, 0, 0, 1.0, 1e5)
+    # a = 0.5 keeps (2a)^N = 1 within R, so the size screen refuses.
     with pytest.raises(FeatureCountError, match="about 10\\^"):
-        enumerate_features_cube(10**9, 10**9, 10**9, 1.0, 1e5)
+        enumerate_features_cube(10**9, 10**9, 10**9, 0.5, 1e5)
 
 
 def test_tree_size_exponent():
@@ -184,6 +185,15 @@ def test_size_rule_boundary_allocates_nothing():
     with pytest.raises(ParameterError, match="trials must be at most 63 for "
                        "n=16777216 rows and J=1 features"):
         features._checked_count("line", 1, 0, 0, rows=2**24, trials=64)
+    # The multi-index table holds d entries per tree: a projection tree's
+    # 2^s leaves do not grow with d, the table does (at d = 2,800 an
+    # 81.9 GiB table).  The pp_fit and smooth_fit benchmark shapes pass.
+    for d in (2800, 700):
+        with pytest.raises(FeatureCountError, match=rf"d={d}, N=2 comes to"):
+            features._checked_count("line", d, 2, 0, 1, rows=4, trials=50)
+    assert features._checked_count("line", 6, 2, 16, 4, rows=100,
+                                   trials=50) == 1904
+    assert features._checked_count("cube", 4, 2, 2, rows=4000) == 1215
 
 
 def test_enumeration_parameter_validation():
@@ -208,6 +218,15 @@ def test_enumeration_parameter_validation():
                            match=rf"^invalid grid parameters N={N}, M={M}, "
                                  rf"A={A}$"):
             enumerate_features_pp(2, N, M, A, 1e5, DIRECTIONS)
+    for name, make in (("a", lambda h, R: enumerate_features_cube(2, 0, 2, h, R)),
+                       ("A", lambda h, R: enumerate_features_pp(2, 0, 2, h, R,
+                                                                DIRECTIONS))):
+        with pytest.raises(ParameterError, match=rf"^invalid grid parameters "
+                                                 rf"N=0, M=2, {name}=inf$"):
+            make(math.inf, 1e6)
+        for R in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError, match="^scale R must be positive"):
+                make(1.0, R)
 
 
 def test_exact_target_spot_values():
