@@ -281,7 +281,8 @@ def cmd_predict(args):
                "estimator_kind": est.kind, "d": est.d}
     lines = comment_header("predictions", est.seed, run_cfg)
     lines.append("prediction")
-    lines.extend(f"{v:.17g}" for v in predict(est, x))
+    # Python floats format as np.float64 does, in about 3/4 the time.
+    lines.extend(f"{v:.17g}" for v in predict(est, x).tolist())
     _write_text(output_path, "\n".join(lines) + "\n")
     print(f"{x.shape[0]} predictions written to {output_path}")
     return 0

@@ -114,7 +114,11 @@ class SmoothConfig:
         """
         N = _theory_degree_cap(n, smoothness, N)
         M = int(math.ceil(grid_scale * n ** (1.0 / (2.0 * smoothness + d))))
-        R = float(n) ** (d + 4)
+        try:
+            R = float(n) ** (d + 4)
+        except OverflowError:
+            raise ParameterError(f"scale R = n^(d+4) overflows a float at "
+                                 f"n={n}, d={d}") from None
         a = math.log(n) ** (1.0 / (6.0 * (N + d)))
         return cls(N=N, M=M, R=R, a=a, penalty=penalty,
                    beta=_default_beta(truncation_scale, n))
@@ -155,9 +159,13 @@ class PPConfig:
                          truncation_scale=10.0, seed=0):
         """Resolve the theory-driven parameter choices from (n, d, r, p)."""
         N = _theory_degree_cap(n, smoothness, N)
-        trials = int(math.ceil(
-            trial_scale * math.log(n) ** 2 * n ** (r * d / (2.0 * smoothness + 1.0))
-        ))
+        try:
+            trials = int(math.ceil(trial_scale * math.log(n) ** 2
+                                   * n ** (r * d / (2.0 * smoothness + 1.0))))
+        except OverflowError:
+            raise ParameterError(f"trial count log(n)^2 * n^(r*d/(2p+1)) "
+                                 f"overflows at n={n}, r={r}, d={d}, "
+                                 f"p={smoothness}") from None
         M = int(math.ceil(grid_scale * n ** (1.0 / (2.0 * smoothness + 1.0))))
         R = float(n) ** 3
         A = math.log(n) ** (1.0 / (6.0 * (N + d)))

@@ -42,9 +42,10 @@ through a plan of instances:
   level is the features themselves, in FeatureSet column order;
 - the plan of a (kind, d, N, M, r) is compiled once by index arithmetic
   and cached, since every set of those parameters has it;
-- rows are folded in blocks, each level of a block one f_mult call on
-  two gathers of the level below, and the root level is written straight
-  into the block's rows of the result.
+- rows are folded in blocks, each level of a block one call of
+  f_mult's index form, which reads its two operands from the level below
+  through the plan's index arrays, and the root level is written
+  straight into the block's rows of the result.
 
 Both kinds of row block are sized by one entry budget,
 _BLOCK_ENTRY_BUDGET, so a build holds its result and temporaries of the
@@ -442,17 +443,17 @@ fold_product_tree = _fold_product_tree
 # level, which bounds the fold's temporaries, and, halved, on (row, tent)
 # entries of one leaf block, which bounds the tent networks' (see
 # eval_features); ridge reads its system in row blocks of this size.
-# On a 2-vCPU Xeon (2 MiB L2 per core) with numpy 2.4 and f_mult's
-# compiled kernel, interleaved builds of a 4,000-row cube design (d=4,
-# N=2, M=2; widest level 1,215) and an 8,811-row projection design (d=6,
-# N=2, M=16, r=4; widest level 1,904) took, in medians of 7 at budgets
-# 2^13, 2^14, 2^15 and 2^16, in two rounds: cube 0.14-0.15, 0.11,
-# 0.09-0.10, 0.09 s and projection 0.42, 0.34-0.36, 0.29-0.30,
-# 0.28-0.29 s.  Smaller blocks pay the per-call cost of the gathers and
-# of f_mult's four passes more often; 2^16 gains at most a tenth over
-# 2^15 and doubles the fold's buffers.  The tents of that projection
-# design (68 columns) took 46-53 ms in 481-row blocks, in medians of 7
-# in two rounds, and 86-100 ms as one whole-batch table.
+# On a 2-vCPU Xeon (2 MiB L2 per core) with numpy 2.4 and the compiled
+# kernel (levels that gather their own operands, tents in C), interleaved
+# builds of a 4,000-row cube design (d=4, N=2, M=2; widest level 1,215)
+# and an 8,811-row projection design (d=6, N=2, M=16, r=4; widest level
+# 1,904) took, in medians of 7 at budgets 2^13, 2^14, 2^15 and 2^16, in
+# two rounds: cube 0.100, 0.073-0.074, 0.063-0.064 and 0.059 s,
+# projection 0.298, 0.234-0.237, 0.204-0.219 and 0.189-0.197 s.  Smaller
+# blocks pay the per-call cost of f_mult's four passes more often; 2^16
+# gains 3-14% over 2^15 and doubles the fold's buffers.  The tents of
+# that projection design (68 columns) took 25-28 ms in 238-row blocks,
+# against 49-50 ms on their numpy path, in medians of 7 in two rounds.
 _BLOCK_ENTRY_BUDGET = 2**15
 
 
@@ -550,16 +551,22 @@ def eval_features(fs, xb):
                     _BLOCK_ENTRY_BUDGET // (2 * tents), and at least
                     one fold step.
 
-    The fold runs in seven buffers of at most
-    max(_BLOCK_ENTRY_BUDGET, widest) entries, which every sub-block
-    reuses: one-row sub-blocks when J exceeds the budget, whose
-    temporaries are the order of one design row.  Only half the budget
-    goes to a leaf block because the fold's buffers stay allocated while
-    the next block's tent networks run, and those hold about a dozen
-    temporaries of the block's tent entries.  So besides its result a
-    call holds one leaf block, the fold's buffers, the temporaries of
-    one block's tent networks and, for a projection set, the n x r
-    projections: not the (n, V) values of every leaf at once.
+    The fold runs in buffers of at most max(_BLOCK_ENTRY_BUDGET, widest)
+    entries, which every sub-block reuses: one for the level values,
+    which each level overwrites once it has read them, and f_mult's
+    scratch arrays, two on its compiled path and six on its numpy path.
+    Sub-blocks are one row when J exceeds the budget, so their
+    temporaries are the order of one design row.  The leaf step is the
+    same on both paths.  Only half the budget goes to a leaf block,
+    because the fold's buffers stay allocated while the next block's
+    tent networks run, and those hold several times the block's tent
+    entries: on the compiled path a work array of 9 times them, which
+    every block reuses (the three relu units' expm1 and exp values and
+    products), and f_mult's two scratch arrays of 3 times them; on the
+    numpy path about a dozen temporaries.  So besides its result a call
+    holds one leaf block, the fold's buffers, one block's tent work and
+    temporaries and, for a projection set, the n x r projections: not
+    the (n, V) values of every leaf at once.
     """
     r = 1 if fs.kind == "cube" else len(fs.directions)
     folds = _plan(fs.kind, fs.d, fs.degree_cap, fs.M, r)
@@ -582,14 +589,16 @@ def eval_features(fs, xb):
     leaves = np.empty((min(leaf_step, n), tents + n_monos + 1))
     leaves[:, -1] = 1.0
     anchors = np.tile(fs.grid, inputs.shape[1])
-    # The temporaries of every fold sub-block live in these buffers.
-    # Allocated per sub-block, arrays of this size come from mmap or from
-    # a heap top that free() trims, depending on the heap's layout, and
-    # then every sub-block faults their pages in again.  They are
-    # allocated once the first leaf block's tent temporaries are freed:
-    # allocated before, 50 builds of 100 rows x 1,904 features took 18.4k
-    # page faults, not 1.8k.
+    # The level values and f_mult's scratch arrays of every fold
+    # sub-block live in these buffers.  Allocated per sub-block, arrays
+    # of this size come from mmap or from a heap top that free() trims,
+    # depending on the heap's layout, and then every sub-block faults
+    # their pages in again.  They are allocated once the first leaf
+    # block's tent temporaries are freed: allocated before, 50 builds of
+    # 100 rows x 1,904 features took 18.4k page faults, not 1.8k.
     buffers = None
+    # The tent networks of every leaf block work in this array.
+    tent_work = np.empty(netblocks.hat_work_size(len(leaves) * tents))
 
     def buffer(i, shape):
         return buffers[i, :shape[0] * shape[1]].reshape(shape)
@@ -599,7 +608,7 @@ def eval_features(fs, xb):
         points = np.repeat(inputs[rows], fs.M + 1, axis=1)
         block = leaves[:len(points)]
         block[:, :tents] = netblocks._hat_network(
-            points, anchors, fs.M, fs.half_width, fs.R)
+            points, anchors, fs.M, fs.half_width, fs.R, tent_work)
         # leaf_specs shifts projection monomials by 0.0, which leaves
         # every x unchanged.
         monos = points - anchors if fs.kind == "cube" else xb[rows]
@@ -610,22 +619,21 @@ def eval_features(fs, xb):
             out[rows] = block[:, :len(fs)]
             continue
         if buffers is None:
-            buffers = np.empty((7, min(step, n) * widest))
+            buffers = np.empty((1 + netblocks.level_scratch_count(),
+                                min(step, n) * widest))
         for start in range(0, len(block), step):
             values = block[start:start + step]
             sub = slice(first + start, first + start + len(values))
             for level, (left, right) in enumerate(folds, 1):
+                # Each level reads the one below whole before it writes,
+                # so it may overwrite it in buffer 0.
                 shape = (values.shape[0], left.size)
-                # mode="clip" (the indices are in range) keeps np.take from
-                # gathering into a temporary of its own first.
-                x = np.take(values, left, axis=1, mode="clip",
-                            out=buffer(0, shape))
-                y = np.take(values, right, axis=1, mode="clip",
-                            out=buffer(1, shape))
                 values = netblocks.f_mult(
-                    x, y, params,
-                    out=out[sub] if level == len(folds) else buffer(2, shape),
-                    scratch=[buffer(i, shape) for i in range(3, 7)])
+                    values, values, params,
+                    out=out[sub] if level == len(folds) else buffer(0, shape),
+                    scratch=[buffer(i, shape)
+                             for i in range(1, len(buffers))],
+                    left=left, right=right)
     return out
 
 

@@ -277,6 +277,32 @@ def test_predict_with_a_tiny_domain_half_is_finite(tmp_path):
     assert values.shape == (9,) and np.all(np.isfinite(values)), values
 
 
+def test_predictions_are_written_with_the_bytes_of_numpy_floats(
+        tmp_path, monkeypatch):
+    # predict formats the Python floats of its predictions, which give
+    # the bytes np.float64 gives, on signed zeros, subnormals and the
+    # ends of the float range among them.
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                      -2.225073858507201e-308, 1e308, -1e308,
+                      1.7976931348623157e308, 0.1, -1.0 / 3.0, 123456789.0])
+    train = tmp_path / "train.csv"
+    _write_training_csv(train)
+    model = tmp_path / "model.json"
+    assert main(["fit", "--config", _write_config(tmp_path / "fit.json",
+                                                  FAST_FIT),
+                 "--input", str(train), "--output", str(model)]) == 0
+    query = tmp_path / "query.csv"
+    _write_query_csv(query, [(0.1, -0.2)] * len(edges))
+    monkeypatch.setattr(cli, "predict", lambda est, x: edges.copy())
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model", str(model), "--input", str(query),
+                 "--output", str(out)]) == 0
+    body = [ln for ln in out.read_text().split("\n")[:-1]
+            if not ln.startswith("#")]
+    assert body[1:] == [format(np.float64(v), ".17g") for v in edges]
+    assert body[2] == "-0" and body[3] == "4.9406564584124654e-324"
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
 def test_predict_refuses_non_finite_queries(tmp_path, capsys, cell):
     # The clamp would turn an infinite coordinate into a finite one, so
@@ -649,6 +675,44 @@ def test_fits_write_the_same_models_without_the_compiled_kernel(
     assert proc.returncode == 0, proc.stderr or "the kernel was built"
     assert models() == want
     assert list(cache.iterdir()) == []
+
+
+def test_kernel_status_names_the_engine_that_runs(tmp_path):
+    # With PATH emptied no compiler runs, and status() gives the reason.
+    # Where the cache directory cannot be written (its parent is a
+    # regular file, which stops root too), the kernel is compiled in a
+    # temporary directory of the process's own, removed once loaded, and
+    # the fits write the models of a normal run.
+    code = ("import sys; from fixnet import _kernel; "
+            "_kernel.CACHE_DIR = sys.argv[1]; "
+            "print(_kernel.library() is None, _kernel.status())")
+    proc = _run_python(code, str(tmp_path / "cache"), PATH="")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True no C compiler: "), proc.stdout
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert _kernel.status() == "compiled"
+    runs = _fit_runs(tmp_path)
+
+    def models():
+        return [Path(argv[-1]).read_bytes() for argv in runs]
+
+    assert [main(argv) for argv in runs] == [0, 0]
+    want = models()
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    private = tmp_path / "tmp"
+    private.mkdir()
+    proc = _run_python(
+        "import json, sys; from fixnet import _kernel, cli; "
+        "_kernel.CACHE_DIR = sys.argv[1]; "
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]; "
+        "print(_kernel.status()); sys.exit(max(codes))",
+        str(blocked / "cache"), json.dumps(runs), TMPDIR=str(private))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "compiled"
+    assert models() == want
+    assert list(private.iterdir()) == []
 
 
 def test_concurrent_first_uses_leave_one_library(tmp_path):

@@ -56,6 +56,9 @@ def test_smooth_config_validation():
                           ({"a": 1e5}, "^half width a=100000 is too large")):
         with pytest.raises(ParameterError, match=message):
             SmoothConfig(**{"N": 1, "M": 2, "R": 1e5, **edit})
+    # A theory-driven R that no float holds.
+    with pytest.raises(ParameterError, match="^scale R = .* overflows"):
+        SmoothConfig.from_sample_size(1000, 200, 2.0)
 
 
 def test_smooth_config_from_sample_size():
@@ -133,6 +136,9 @@ def test_pp_config_validation():
                           ({"A": 1e5}, "^half width A=100000 is too large")):
         with pytest.raises(ParameterError, match=message):
             PPConfig(**{"r": 1, "N": 1, "M": 2, "R": 1e5, **edit})
+    # A theory-driven trial count that no float holds.
+    with pytest.raises(ParameterError, match="^trial count .* overflows"):
+        PPConfig.from_sample_size(1000, 400, 2, 2.0)
 
 
 def test_sample_directions_shape_and_range():

@@ -462,10 +462,10 @@ def test_cube_design_is_bitwise_the_oracle_on_every_column():
 
 def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
     # The widest level (1,215 roots) exceeds the budget, so rows are
-    # folded one at a time.  Besides the design, the fold holds seven
-    # buffers of max(budget, widest) entries that every block reuses
-    # (the bound allows ten); the leaf table of 16 rows (16 x 25 values)
-    # is smaller than one of them.
+    # folded one at a time.  Besides the design, the fold holds three
+    # buffers of max(budget, widest) entries (seven on the numpy path)
+    # that every block reuses (the bound allows ten); the leaf table of
+    # 16 rows (16 x 25 values) is smaller than one of them.
     feats = enumerate_features_cube(4, 2, 2, 1.0, 1e6)
     x = Stream(22).uniform_matrix(16, 4, low=-1.0, high=1.0)
     budget = 256
@@ -486,9 +486,9 @@ def test_design_memory_is_bounded_by_the_block_budget(monkeypatch):
 def test_design_temporaries_do_not_grow_with_the_batch(n):
     # The pp_predict feature set: 68 tent columns, so leaf blocks of 238
     # rows, folded 17 rows at a time.  Besides the design, the call holds
-    # one leaf block, the fold's seven buffers, one block's tent
-    # temporaries and the n x 4 projections, not an (n, 75) leaf table;
-    # the bound allows 16 arrays of the entry budget.
+    # one leaf block, the fold's buffers, one block's tent work and the
+    # n x 4 projections, not an (n, 75) leaf table; the bound allows 16
+    # arrays of the entry budget.
     directions = Stream(4).uniform_matrix(4, 6, low=-1.0, high=1.0)
     feats = enumerate_features_pp(6, 2, 16, 1.0, 1e5, directions)
     x = Stream(n).uniform_matrix(n, 6, low=-1.0, high=1.0)
@@ -601,3 +601,93 @@ def test_design_and_oracle_keep_their_bits_without_the_compiled_kernel(
     for fs, x, design in zip(sets, points, want):
         assert bitwise_equal(features.eval_features(fs, x), design)
     test_design_matrix_is_bitwise_the_single_feature_oracle()
+
+
+def _benchmark_sets():
+    """The plan shapes of the smooth_fit and pp_fit benchmark workloads."""
+    directions = Stream(31).uniform_matrix(4, 6, low=-1.0, high=1.0)
+    return [enumerate_features_cube(4, 2, 2, 1.0, 1e6),
+            enumerate_features_pp(6, 2, 16, 1.0, 1e6, directions)]
+
+
+def _skip_without_kernel():
+    if _kernel.library() is None:
+        pytest.skip("the compiled kernel cannot be built on this host")
+
+
+# Signed zeros, subnormals, +-1e300, +-inf and NaN.
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf,
+                   -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("kind, d, N, M, r", [("cube", 4, 2, 2, 1),
+                                              ("line", 6, 2, 16, 4)])
+def test_compiled_levels_are_bitwise_their_numpy_path(monkeypatch, kind, d,
+                                                      N, M, r):
+    # Every fold level of the two benchmark plan shapes as f_mult's index
+    # form, on leaf values with edge values among them: NaN lands in the
+    # same places, and every other entry has the numpy path's bits.
+    _skip_without_kernel()
+    V, _ = features._leaf_instances(kind, d, M, r)
+    folds = features._plan(kind, d, N, M, r)
+    rng = np.random.default_rng(V)
+    values = rng.uniform(-1.5, 1.5, (5, V))
+    values.flat[rng.choice(values.size, 60, replace=False)] = (
+        rng.choice(_EDGES, 60))
+    params = BlockParams(R=1e6)
+
+    def levels():
+        found, level = [], values
+        for left, right in folds:
+            level = f_mult(level, level, params, left=left, right=right)
+            found.append(level)
+        return found
+
+    with np.errstate(all="ignore"):
+        got = levels()
+        monkeypatch.setattr(_kernel, "library", lambda: None)
+        want = levels()
+    assert len(got) == len(folds) >= 2
+    for level, expected in zip(got, want):
+        nan = np.isnan(expected)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(np.isnan(level), nan)
+        assert bitwise_equal(level[~nan], expected[~nan])
+
+
+@pytest.mark.parametrize("budget, rows", [(2**15, 1412), (1000, 60)])
+def test_compiled_design_is_bitwise_its_numpy_path(monkeypatch, budget,
+                                                   rows):
+    # At the entry budget, 1,412 rows take leaf blocks of 1,352 rows (cube)
+    # and 238 (line), and the last fold sub-block of each last leaf block
+    # is shorter than the fold step (26 and 17 rows).  At 1,000 entries,
+    # below each plan's widest level, the fold takes one-row sub-blocks.
+    # Some rows lie outside the cube.
+    sets = _benchmark_sets()
+    points = [Stream(33).uniform_matrix(rows, fs.d, low=-1.2, high=1.2)
+              for fs in sets]
+    monkeypatch.setattr(features, "_BLOCK_ENTRY_BUDGET", budget)
+    want = [features.eval_features(fs, x) for fs, x in zip(sets, points)]
+    monkeypatch.setattr(_kernel, "library", lambda: None)
+    for fs, x, design in zip(sets, points, want):
+        assert bitwise_equal(features.eval_features(fs, x), design)
+
+
+def test_design_keeps_its_bits_without_the_vector_clones(tmp_path,
+                                                         monkeypatch):
+    # The kernel built with FIXNET_NO_CLONES defined, one generic version
+    # of each loop, gives the designs of the build whose loader picks a
+    # clone for this CPU.
+    _skip_without_kernel()
+    with open(_kernel.SOURCE, "rb") as f:
+        source = b"#define FIXNET_NO_CLONES 1\n" + f.read()
+    path = str(tmp_path / "_kernel-generic.so")
+    _kernel._compile(source, path)
+    generic = _kernel.bind(path)
+    sets = _benchmark_sets()
+    points = [Stream(34).uniform_matrix(70, fs.d, low=-1.2, high=1.2)
+              for fs in sets]
+    want = [features.eval_features(fs, x) for fs, x in zip(sets, points)]
+    monkeypatch.setattr(_kernel, "library", lambda: generic)
+    for fs, x, design in zip(sets, points, want):
+        assert bitwise_equal(features.eval_features(fs, x), design)

@@ -205,6 +205,65 @@ def test_compiled_product_runs_only_on_contiguous_float64_of_one_shape(
     assert calls == ["halves"]
 
 
+def test_index_form_checks_its_indices_and_may_overwrite_its_operand(
+        monkeypatch):
+    # The index form is the product of the gathers, on both paths; int32
+    # indices take the numpy path; out may share x's memory; an index
+    # outside [0, x.shape[1]) raises IndexError on both paths.
+    _compiled_kernel()
+    params = BlockParams(R=1e3)
+    x = np.linspace(-2.0, 2.0, 24).reshape(4, 6)
+    left = np.array([0, 2, 5], dtype=np.intp)
+    right = np.array([1, 1, 4], dtype=np.intp)
+    want = f_mult(x[:, left], x[:, right], params)
+    for compiled in (True, False):
+        if not compiled:
+            monkeypatch.setattr(_kernel, "library", lambda: None)
+        got = f_mult(x, x, params, left=left, right=right)
+        narrow = f_mult(x, x, params, left=left.astype(np.int32),
+                        right=right.astype(np.int32))
+        buf = x.copy()
+        shared = f_mult(buf, buf, params, out=buf.ravel()[:12].reshape(4, 3),
+                        scratch=[np.empty((4, 3)) for _ in range(6)],
+                        left=left, right=right)
+        for values in (got, narrow, shared):
+            assert bitwise_equal(values, want), compiled
+        for bad in ([0, 6, 1], [0, -1, 1]):
+            with pytest.raises(IndexError, match=r"\[0, 6\)"):
+                f_mult(x, x, params, left=np.array(bad, dtype=np.intp),
+                       right=right)
+    with pytest.raises(ValueError, match="index form"):
+        f_mult(x, x[:, :5], params, left=left, right=right)
+
+
+@pytest.mark.parametrize("M", [0, 1, 16])
+def test_compiled_tent_is_bitwise_its_numpy_path(M, monkeypatch):
+    # At R equal to the relu blocks' threshold and above it, in the 1-d
+    # form of eval_leaf and the broadcast 2-d form of eval_features, on
+    # points outside the cube and on edge values: NaN lands in the same
+    # places, and every other entry has the numpy path's bits.
+    _compiled_kernel()
+    prof = admissibility_constants()
+    threshold = prof.sup_d2 * (M + 1) / (2.0 * prof.d1_at_id)
+    rng = np.random.default_rng(M)
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 400), _EDGES])
+    anchors = np.linspace(-1.0, 1.0, M + 1)
+    cases = [(points, y, R) for R in (threshold, 1e3, 1e6, 1e8)
+             for points, y in ((x, 0.25), (x[:, None], anchors))]
+    with np.errstate(all="ignore"):
+        got = [netblocks._hat_network(a, y, M, 1.0, R) for a, y, R in cases]
+        monkeypatch.setattr(_kernel, "library", lambda: None)
+        want = [netblocks._hat_network(a, y, M, 1.0, R)
+                for a, y, R in cases]
+    for values, expected in zip(got, want):
+        nan = np.isnan(expected)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(np.isnan(values), nan)
+        assert bitwise_equal(values[~nan], expected[~nan])
+    with pytest.raises(ParameterError, match="relu block requires R"):
+        netblocks._hat_network(x[:400], 0.25, M, 1.0, threshold * (1 - 1e-12))
+
+
 def test_pyproject_ships_the_kernel_source():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
